@@ -26,7 +26,9 @@ void BM_BatchExplore(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(suite().size()));
 }
-BENCHMARK(BM_BatchExplore)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_BatchExplore)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_BatchExploreWarmCache(benchmark::State& state) {
   core::BatchOptions opt;
@@ -38,7 +40,9 @@ void BM_BatchExploreWarmCache(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(suite().size()));
 }
-BENCHMARK(BM_BatchExploreWarmCache)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_BatchExploreWarmCache)->Arg(1)->Arg(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_ReportCsv(benchmark::State& state) {
   core::BatchExplorer explorer(core::BatchOptions{});

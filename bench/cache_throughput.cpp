@@ -40,7 +40,9 @@ void BM_ColdRunWithFlush(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(suite().size()));
 }
-BENCHMARK(BM_ColdRunWithFlush)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ColdRunWithFlush)->Arg(1)->Arg(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_DiskWarmRun(benchmark::State& state) {
   core::BatchOptions opt;
@@ -54,7 +56,9 @@ void BM_DiskWarmRun(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(suite().size()));
 }
-BENCHMARK(BM_DiskWarmRun)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DiskWarmRun)->Arg(1)->Arg(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_EntrySerializeParse(benchmark::State& state) {
   core::BatchOptions opt;

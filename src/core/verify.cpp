@@ -10,18 +10,6 @@ namespace {
 
 using sim::WordSimulator;
 
-/// Nets of "<prefix>[0..width)"; empty if the bus does not exist.
-std::vector<netlist::NetId> output_bus_nets(const netlist::Netlist& nl,
-                                            const std::string& prefix) {
-  std::vector<netlist::NetId> nets;
-  for (int i = 0;; ++i) {
-    const auto net = nl.find_output(prefix + "[" + std::to_string(i) + "]");
-    if (!net) break;
-    nets.push_back(*net);
-  }
-  return nets;
-}
-
 /// All 64 lanes carry the same stimulus, so a correct one-hot bus shows the
 /// expected line at kAllLanes and every other line at 0.  Anything else is
 /// either a functional divergence or a lane-coherence violation.
@@ -54,11 +42,11 @@ std::optional<std::string> verify_reference_against_trace(
     const ReferenceCircuit& rc, const seq::AddressTrace& trace) {
   WordSimulator ws(rc.netlist);
 
-  const auto row_nets = output_bus_nets(rc.netlist, rc.row_bus);
+  const auto row_nets = rc.netlist.output_bus(rc.row_bus);
   if (row_nets.empty()) return "reference netlist has no output bus " + rc.row_bus;
   std::vector<netlist::NetId> col_nets;
   if (!rc.col_bus.empty()) {
-    col_nets = output_bus_nets(rc.netlist, rc.col_bus);
+    col_nets = rc.netlist.output_bus(rc.col_bus);
     if (col_nets.empty()) return "reference netlist has no output bus " + rc.col_bus;
   }
 

@@ -8,15 +8,18 @@ namespace {
 
 // Recursive Minato-Morreale. Returns a cover C with L <= C <= U and, through
 // `value_out`, the truth table of C (needed by the caller's remainder step).
-Cover isop_rec(const TruthTable& L, const TruthTable& U, TruthTable& value_out) {
+// Neither bound depends on x_below or any variable above it, so the split
+// variable is searched below `below` only.
+Cover isop_rec(const TruthTable& L, const TruthTable& U, int below,
+               TruthTable& value_out) {
   const int n = L.num_vars();
   if (L.is_zero()) {
     value_out = TruthTable::zeros(n);
     return {};
   }
   // Split on the top variable either bound depends on.
-  int v = L.top_var();
-  const int uv = U.top_var();
+  int v = L.top_var(below);
+  const int uv = U.top_var(below);
   if (uv > v) v = uv;
   if (v < 0) {
     // L is a nonzero constant => L = 1, and since L <= U, U = 1.
@@ -28,13 +31,15 @@ Cover isop_rec(const TruthTable& L, const TruthTable& U, TruthTable& value_out) 
   const TruthTable U0 = U.cofactor(v, false), U1 = U.cofactor(v, true);
 
   // Minterms of L0 not coverable by a cube valid in both halves need x_v'.
+  // Every child bound is built from cofactors on x_v (and from child covers,
+  // which split below v), so it depends on variables below v only.
   TruthTable val0(n), val1(n), vald(n);
-  Cover c0 = isop_rec(L0.diff(U1), U0, val0);
-  Cover c1 = isop_rec(L1.diff(U0), U1, val1);
+  Cover c0 = isop_rec(L0.diff(U1), U0, v, val0);
+  Cover c1 = isop_rec(L1.diff(U0), U1, v, val1);
 
   // Remainder must be covered by cubes independent of x_v.
   const TruthTable Ld = L0.diff(val0) | L1.diff(val1);
-  Cover cd = isop_rec(Ld, U0 & U1, vald);
+  Cover cd = isop_rec(Ld, U0 & U1, v, vald);
 
   const TruthTable xv = TruthTable::var(n, v);
   value_out = (val0.diff(xv)) | (val1 & xv) | vald;
@@ -63,7 +68,7 @@ Cover isop(const TruthTable& onset_lower, const TruthTable& onset_upper) {
   if (!onset_lower.implies(onset_upper))
     throw std::invalid_argument("isop: lower bound not contained in upper bound");
   TruthTable value(onset_lower.num_vars());
-  return isop_rec(onset_lower, onset_upper, value);
+  return isop_rec(onset_lower, onset_upper, onset_lower.num_vars(), value);
 }
 
 Cover isop(const TruthTable& f) { return isop(f, f); }

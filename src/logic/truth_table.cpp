@@ -113,11 +113,25 @@ TruthTable TruthTable::cofactor(int k, bool val) const {
 }
 
 bool TruthTable::depends_on(int k) const {
-  return cofactor(k, false) != cofactor(k, true);
+  if (k < 0 || k >= num_vars_) throw std::invalid_argument("cofactor: bad var");
+  // Compare the x_k = 1 half against the x_k = 0 half in place; the two
+  // cofactors differ exactly where these halves do.
+  if (k < 6) {
+    const int shift = 1 << k;
+    const std::uint64_t hi = kVarMask[k];
+    for (auto w : words_)
+      if (((w & hi) >> shift) != (w & ~hi)) return true;
+    return false;
+  }
+  const std::size_t stride = std::size_t{1} << (k - 6);
+  for (std::size_t base = 0; base < words_.size(); base += 2 * stride)
+    for (std::size_t i = 0; i < stride; ++i)
+      if (words_[base + i] != words_[base + stride + i]) return true;
+  return false;
 }
 
-int TruthTable::top_var() const {
-  for (int k = num_vars_ - 1; k >= 0; --k)
+int TruthTable::top_var(int below) const {
+  for (int k = below - 1; k >= 0; --k)
     if (depends_on(k)) return k;
   return -1;
 }

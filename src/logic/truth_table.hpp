@@ -32,7 +32,10 @@ class TruthTable {
   std::uint64_t count_ones() const;
   bool depends_on(int k) const;
   /// Highest variable index the function depends on, or -1 if constant.
-  int top_var() const;
+  int top_var() const { return top_var(num_vars_); }
+  /// Highest variable index below `below` the function depends on, or -1.
+  /// Equals top_var() whenever the function ignores x_below and above.
+  int top_var(int below) const;
 
   /// Cofactor with respect to x_k = val; result no longer depends on x_k.
   TruthTable cofactor(int k, bool val) const;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <charconv>
 #include <stdexcept>
 
 namespace addm::netlist {
@@ -96,6 +97,32 @@ std::optional<NetId> Netlist::find_output(std::string_view name) const {
   for (std::size_t i = 0; i < output_names_.size(); ++i)
     if (output_names_[i] == name) return output_nets_[i];
   return std::nullopt;
+}
+
+std::vector<NetId> Netlist::output_bus(std::string_view prefix) const {
+  // A bus of width w needs w distinct outputs, so indices at or above the
+  // output count can never be part of it.
+  constexpr NetId kUnset = ~NetId{0};
+  std::vector<NetId> slots(output_names_.size(), kUnset);
+  for (std::size_t i = 0; i < output_names_.size(); ++i) {
+    const std::string_view name = output_names_[i];
+    if (name.size() < prefix.size() + 2 || !name.starts_with(prefix) ||
+        name[prefix.size()] != '[' || name.back() != ']')
+      continue;
+    // The index must be spelled as std::to_string spells it: decimal digits
+    // only, without a leading zero.
+    const std::string_view digits =
+        name.substr(prefix.size() + 1, name.size() - prefix.size() - 2);
+    std::size_t index = 0;
+    const char* end = digits.data() + digits.size();
+    const auto [ptr, ec] = std::from_chars(digits.data(), end, index);
+    if (ec != std::errc{} || ptr != end || (digits.size() > 1 && digits[0] == '0')) continue;
+    if (index < slots.size() && slots[index] == kUnset) slots[index] = output_nets_[i];
+  }
+  std::size_t width = 0;
+  while (width < slots.size() && slots[width] != kUnset) ++width;
+  slots.resize(width);
+  return slots;
 }
 
 std::optional<std::size_t> Netlist::driver_of(NetId net) const {

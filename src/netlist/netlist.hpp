@@ -87,6 +87,11 @@ class Netlist {
   /// Net of the primary input/output with the given name, if any.
   std::optional<NetId> find_input(std::string_view name) const;
   std::optional<NetId> find_output(std::string_view name) const;
+  /// Nets of outputs "<prefix>[0]", "<prefix>[1]", ... up to the first
+  /// missing index, built in one pass over the outputs.  Where two outputs
+  /// share a name the first wins, as in find_output; empty if there is no
+  /// "<prefix>[0]".
+  std::vector<NetId> output_bus(std::string_view prefix) const;
 
   /// Index of the cell driving `net`, if a cell drives it.
   std::optional<std::size_t> driver_of(NetId net) const;

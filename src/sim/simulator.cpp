@@ -135,19 +135,15 @@ bool Simulator::get(std::string_view name) const {
   return values_[find_output_checked(name)] != 0;
 }
 
-void Simulator::collect_bus(std::string_view prefix, std::vector<NetId>& nets) const {
-  for (int i = 0;; ++i) {
-    const auto net = nl_->find_output(std::string(prefix) + "[" + std::to_string(i) + "]");
-    if (!net) break;
-    nets.push_back(*net);
-  }
+std::vector<NetId> Simulator::collect_bus(std::string_view prefix) const {
+  auto nets = nl_->output_bus(prefix);
   if (nets.empty())
     throw std::invalid_argument("unknown output bus " + std::string(prefix));
+  return nets;
 }
 
 std::uint64_t Simulator::get_bus(std::string_view prefix) const {
-  std::vector<NetId> nets;
-  collect_bus(prefix, nets);
+  const auto nets = collect_bus(prefix);
   std::uint64_t v = 0;
   for (std::size_t i = 0; i < nets.size(); ++i)
     v |= static_cast<std::uint64_t>(values_[nets[i]]) << i;
@@ -155,8 +151,7 @@ std::uint64_t Simulator::get_bus(std::string_view prefix) const {
 }
 
 std::optional<std::size_t> Simulator::hot_index(std::string_view prefix) const {
-  std::vector<NetId> nets;
-  collect_bus(prefix, nets);
+  const auto nets = collect_bus(prefix);
   std::optional<std::size_t> hot;
   for (std::size_t i = 0; i < nets.size(); ++i) {
     if (!values_[nets[i]]) continue;
@@ -167,8 +162,7 @@ std::optional<std::size_t> Simulator::hot_index(std::string_view prefix) const {
 }
 
 std::size_t Simulator::hot_count(std::string_view prefix) const {
-  std::vector<NetId> nets;
-  collect_bus(prefix, nets);
+  const auto nets = collect_bus(prefix);
   std::size_t n = 0;
   for (NetId net : nets) n += values_[net];
   return n;

@@ -68,7 +68,7 @@ class Simulator {
 
  private:
   netlist::NetId find_output_checked(std::string_view name) const;
-  void collect_bus(std::string_view prefix, std::vector<netlist::NetId>& nets) const;
+  std::vector<netlist::NetId> collect_bus(std::string_view prefix) const;
 
   const netlist::Netlist* nl_;
   std::vector<std::size_t> topo_;

@@ -25,12 +25,14 @@ void WordSimulator::set_input(NetId net, std::uint64_t lanes) {
   if (!nl_->is_primary_input(net))
     throw std::invalid_argument("set_input: net is not a primary input");
   values_[net] = lanes;
+  dirty_ = true;
 }
 
 void WordSimulator::set(std::string_view name, std::uint64_t lanes) {
   const auto net = nl_->find_input(name);
   if (!net) throw std::invalid_argument("set: unknown input " + std::string(name));
   values_[*net] = lanes;
+  dirty_ = true;
 }
 
 void WordSimulator::set_all(std::string_view name, bool value) {
@@ -67,6 +69,7 @@ void WordSimulator::set_bus(std::string_view prefix, std::uint64_t value) {
   const auto nets = checked_bus_nets(*nl_, prefix, value, "set_bus");
   for (std::size_t i = 0; i < nets.size(); ++i)
     values_[nets[i]] = (value >> i) & 1 ? kAllLanes : 0;
+  dirty_ = true;
 }
 
 void WordSimulator::set_bus_lane(std::string_view prefix, std::size_t lane,
@@ -80,6 +83,7 @@ void WordSimulator::set_bus_lane(std::string_view prefix, std::size_t lane,
     else
       values_[nets[i]] &= ~mask;
   }
+  dirty_ = true;
 }
 
 void WordSimulator::eval() {
@@ -103,10 +107,13 @@ void WordSimulator::eval() {
     }
     values_[op.out] = v;
   }
+  dirty_ = false;
 }
 
 void WordSimulator::step() {
-  eval();
+  // The previous step's trailing eval() already settled every net, so the
+  // leading pass is needed only after an input changed.
+  if (dirty_) eval();
   if (count_toggles_) prev_ = values_;
 
   // Capture next states from pre-edge values, then commit — lane-parallel
@@ -172,12 +179,7 @@ std::uint64_t WordSimulator::get(std::string_view name) const {
 }
 
 std::vector<NetId> WordSimulator::collect_output_bus(std::string_view prefix) const {
-  std::vector<NetId> nets;
-  for (int i = 0;; ++i) {
-    const auto net = nl_->find_output(std::string(prefix) + "[" + std::to_string(i) + "]");
-    if (!net) break;
-    nets.push_back(*net);
-  }
+  auto nets = nl_->output_bus(prefix);
   if (nets.empty())
     throw std::invalid_argument("unknown output bus " + std::string(prefix));
   return nets;

@@ -59,7 +59,9 @@ class WordSimulator {
   // --- stepping ---------------------------------------------------------------
   /// Re-evaluates combinational logic from current inputs/state (all lanes).
   void eval();
-  /// eval(), clock edge, eval(). Advances one cycle in every lane.
+  /// eval(), clock edge, eval(). Advances one cycle in every lane.  The
+  /// leading eval() runs only if an input setter was called since the last
+  /// eval(); otherwise the nets are already settled and it would be a no-op.
   void step();
   /// Convenience: step `n` times with current inputs held.
   void run(std::size_t n);
@@ -102,6 +104,7 @@ class WordSimulator {
   std::vector<std::uint64_t> toggles_;  // per net, summed over lanes
   std::uint64_t cycles_ = 0;
   bool count_toggles_ = false;
+  bool dirty_ = true;  // an input changed since the last eval()
 };
 
 }  // namespace addm::sim

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <stdexcept>
+#include <string>
 
 #include "logic/cube.hpp"
 #include "logic/isop.hpp"
@@ -87,6 +89,64 @@ TEST(TruthTable, TopVarAndDependence) {
   EXPECT_FALSE(f.depends_on(0));
   EXPECT_EQ(f.top_var(), 6);
   EXPECT_EQ(TruthTable::zeros(4).top_var(), -1);
+}
+
+/// depends_on and top_var(below) against the cofactor definition, over
+/// every variable and every `below` in 0..n.
+void expect_dependence_matches_cofactors(const TruthTable& f) {
+  const int n = f.num_vars();
+  int top = -1;
+  for (int below = 0; below <= n; ++below) {
+    EXPECT_EQ(f.top_var(below), top) << "below " << below;
+    if (below == n) break;
+    const bool dep = f.cofactor(below, false) != f.cofactor(below, true);
+    EXPECT_EQ(f.depends_on(below), dep) << "var " << below;
+    if (dep) top = below;
+  }
+  EXPECT_EQ(f.top_var(), top);
+}
+
+TEST(TruthTable, DependenceExhaustiveUpToFourVars) {
+  for (int n = 0; n <= 4; ++n) {
+    const std::uint64_t minterms = std::uint64_t{1} << n;
+    for (std::uint64_t bits = 0; bits < (std::uint64_t{1} << minterms); ++bits) {
+      TruthTable f(n);
+      for (std::uint64_t m = 0; m < minterms; ++m) f.set(m, (bits >> m) & 1);
+      SCOPED_TRACE("n " + std::to_string(n) + " bits " + std::to_string(bits));
+      expect_dependence_matches_cofactors(f);
+    }
+  }
+}
+
+TEST(TruthTable, DependenceRandomSingleAndMultiWord) {
+  // n = 5 is a partial word, 6 a full word, 7..12 span 2..64 words, so both
+  // the in-word (k < 6) and the block (k >= 6) comparisons are exercised.
+  std::mt19937_64 rng(0xdeb5u);
+  for (int n = 5; n <= 12; ++n) {
+    for (int trial = 0; trial < 24; ++trial) {
+      TruthTable f(n);
+      for (std::uint64_t m = 0; m < f.num_minterms_capacity(); ++m) f.set(m, rng() & 1);
+      // Drop a random subset of variables (cofactoring removes x_k), then
+      // sometimes flip a single minterm so every variable matters again by
+      // one bit that may sit in any word.
+      for (int k = 0; k < n; ++k)
+        if (rng() % 3 == 0) f = f.cofactor(k, rng() & 1);
+      if (trial % 2) {
+        const std::uint64_t m = rng() % f.num_minterms_capacity();
+        f.set(m, !f.get(m));
+      }
+      SCOPED_TRACE("n " + std::to_string(n) + " trial " + std::to_string(trial));
+      expect_dependence_matches_cofactors(f);
+    }
+  }
+}
+
+TEST(TruthTable, DependsOnRejectsOutOfRangeVariable) {
+  for (int n : {0, 3, 6, 9}) {
+    const auto f = TruthTable::ones(n);
+    EXPECT_THROW((void)f.depends_on(-1), std::invalid_argument);
+    EXPECT_THROW((void)f.depends_on(n), std::invalid_argument);
+  }
 }
 
 TEST(TruthTable, Implies) {

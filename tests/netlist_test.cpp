@@ -2,6 +2,10 @@
 // validation, topological ordering, fanout accounting and DOT export.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "netlist/builder.hpp"
 #include "netlist/dot.hpp"
 #include "netlist/netlist.hpp"
@@ -33,6 +37,32 @@ TEST(Netlist, AddInputOutput) {
   EXPECT_EQ(nl.find_input("a"), a);
   EXPECT_EQ(nl.find_output("y"), a);
   EXPECT_FALSE(nl.find_input("b").has_value());
+}
+
+TEST(Netlist, OutputBusMatchesPerIndexLookup) {
+  Netlist nl;
+  std::vector<NetId> n;
+  for (int i = 0; i < 8; ++i) n.push_back(nl.new_net());
+  nl.add_output("q[01]", n[4]);  // not how index 1 is spelled
+  nl.add_output("q[1]", n[1]);
+  nl.add_output("q[0]", n[0]);
+  nl.add_output("q[1]", n[2]);   // duplicate name: the first binding wins
+  nl.add_output("q[3]", n[3]);   // past the gap at [2]: not part of the bus
+  nl.add_output("qq[2]", n[5]);
+  nl.add_output("r[1]", n[6]);   // no r[0]
+  nl.add_output("q", n[7]);
+  const auto per_index = [&](std::string_view prefix) {
+    std::vector<NetId> nets;
+    for (int i = 0;; ++i) {
+      const auto net = nl.find_output(std::string(prefix) + "[" + std::to_string(i) + "]");
+      if (!net) return nets;
+      nets.push_back(*net);
+    }
+  };
+  EXPECT_EQ(nl.output_bus("q"), (std::vector<NetId>{n[0], n[1]}));
+  for (std::string_view prefix : {"q", "qq", "r", "", "q[0", "x"})
+    EXPECT_EQ(nl.output_bus(prefix), per_index(prefix)) << prefix;
+  EXPECT_TRUE(nl.output_bus("r").empty());
 }
 
 TEST(Netlist, AddCellChecksArity) {

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string>
 #include <vector>
 
 #include "core/cntag.hpp"
@@ -143,6 +144,81 @@ TEST(WordSimulator, MatchesScalarWithDistinctPerLaneStimuli) {
           ASSERT_EQ(w.value(n, l), lanes[l].value(n))
               << "net " << n << " lane " << l << " step " << step;
     }
+    for (NetId n = 0; n < c.nl.num_nets(); ++n) {
+      std::uint64_t sum = 0;
+      for (const Simulator& s : lanes) sum += s.toggles()[n];
+      ASSERT_EQ(w.toggles()[n], sum) << "net " << n;
+    }
+  }
+}
+
+TEST(WordSimulator, StepAfterEverySetterMatchesScalar) {
+  // step() skips its leading eval() unless an input setter ran since the last
+  // eval().  Drive inputs through every setter, interleaved with single steps
+  // and with runs of several steps that change nothing, and compare every
+  // lane against a scalar simulator fed the same stimulus.
+  std::mt19937 rng(0xd1e7u);
+  for (int trial = 0; trial < 6; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    RandomCircuit c = random_circuit(rng, 30 + rng() % 50);
+    ASSERT_TRUE(c.nl.validate().empty());
+    const std::size_t width = c.inputs.size();
+
+    std::vector<Simulator> lanes;
+    lanes.reserve(WordSimulator::kLanes);
+    for (std::size_t l = 0; l < WordSimulator::kLanes; ++l) lanes.emplace_back(c.nl);
+    WordSimulator w(c.nl);
+    for (Simulator& s : lanes) s.enable_toggle_counting();
+    w.enable_toggle_counting();
+
+    for (int round = 0; round < 40; ++round) {
+      const std::size_t bit = rng() % width;
+      const std::string name = "in[" + std::to_string(bit) + "]";
+      const std::uint64_t word = (std::uint64_t{rng()} << 32) | rng();
+      switch (rng() % 6) {
+        case 0:
+          w.set_input(c.inputs[bit], word);
+          for (std::size_t l = 0; l < lanes.size(); ++l)
+            lanes[l].set_input(c.inputs[bit], (word >> l) & 1);
+          break;
+        case 1:
+          w.set(name, word);
+          for (std::size_t l = 0; l < lanes.size(); ++l) lanes[l].set(name, (word >> l) & 1);
+          break;
+        case 2:
+          w.set_all(name, word & 1);
+          for (Simulator& s : lanes) s.set(name, word & 1);
+          break;
+        case 3: {
+          const std::uint64_t value = word & ((std::uint64_t{1} << width) - 1);
+          w.set_bus("in", value);
+          for (Simulator& s : lanes) s.set_bus("in", value);
+          break;
+        }
+        case 4: {
+          const std::size_t lane = rng() % WordSimulator::kLanes;
+          const std::uint64_t value = word & ((std::uint64_t{1} << width) - 1);
+          w.set_bus_lane("in", lane, value);
+          lanes[lane].set_bus("in", value);
+          break;
+        }
+        default:
+          break;  // no setter: the next steps hold every input
+      }
+      const int steps = 1 + static_cast<int>(rng() % 4);
+      for (int k = 0; k < steps; ++k) {
+        w.step();
+        for (Simulator& s : lanes) s.step();
+        for (std::size_t l = 0; l < lanes.size(); ++l) {
+          ASSERT_EQ(w.get_bus("out", l), lanes[l].get_bus("out"))
+              << "lane " << l << " round " << round;
+          for (NetId n = 0; n < c.nl.num_nets(); ++n)
+            ASSERT_EQ(w.value(n, l), lanes[l].value(n))
+                << "net " << n << " lane " << l << " round " << round;
+        }
+      }
+    }
+    EXPECT_EQ(w.cycles(), lanes[0].cycles());
     for (NetId n = 0; n < c.nl.num_nets(); ++n) {
       std::uint64_t sum = 0;
       for (const Simulator& s : lanes) sum += s.toggles()[n];
