@@ -9,6 +9,7 @@
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -214,16 +215,6 @@ BatchResult BatchExplorer::run(const std::vector<seq::AddressTrace>& traces,
     }
   }
 
-  // Two-level scheduler: opt_.threads is the TOTAL thread budget.  The
-  // inner level (per-trace candidate fan-out, ExploreOptions::arch_threads)
-  // gets its request capped at the budget; the outer level (traces) gets
-  // budget / inner workers, so outer × inner never oversubscribes.  Pure
-  // scheduling — fingerprints ignore arch_threads and every split yields
-  // byte-identical entries.
-  const ThreadSplit split = split_threads(opt_.threads, explore.arch_threads);
-  ExploreOptions worker_opt = explore;
-  worker_opt.arch_threads = split.inner;
-
   std::mutex stats_mu;
   std::size_t evaluations = 0;
   std::size_t cache_hits = 0;
@@ -245,7 +236,7 @@ BatchResult BatchExplorer::run(const std::vector<seq::AddressTrace>& traces,
 
     std::shared_ptr<const Outcome> outcome;
     if (!opt_.memoize) {
-      outcome = evaluate_trace(trace, worker_opt);
+      outcome = evaluate_trace(trace, explore);
       std::lock_guard<std::mutex> lk(stats_mu);
       ++evaluations;
     } else {
@@ -265,7 +256,7 @@ BatchResult BatchExplorer::run(const std::vector<seq::AddressTrace>& traces,
         future = it->second;
       }
       if (owner) {
-        auto computed = evaluate_trace(trace, worker_opt);
+        auto computed = evaluate_trace(trace, explore);
         promise.set_value(computed);
         std::lock_guard<std::mutex> lk(stats_mu);
         ++evaluations;
@@ -288,8 +279,17 @@ BatchResult BatchExplorer::run(const std::vector<seq::AddressTrace>& traces,
     entry.error = outcome->error;
   };
 
-  ThreadPool pool(split.outer);
-  pool.parallel_for(traces.size(), work);
+  // One task per trace, on at most one worker per trace; a budget that
+  // resolves to a single worker runs the loop inline without a pool.
+  std::size_t workers = opt_.threads;
+  if (workers == 0) workers = std::max(1u, std::thread::hardware_concurrency());
+  workers = std::min(workers, traces.size());
+  if (workers <= 1) {
+    for (std::size_t i = 0; i < traces.size(); ++i) work(i);
+  } else {
+    ThreadPool pool(workers);
+    pool.parallel_for(traces.size(), work);
+  }
 
   // Flush: persist this run's newly computed successes.  Errors are never
   // cached (a transient failure must not become permanent), and I/O errors
@@ -297,7 +297,7 @@ BatchResult BatchExplorer::run(const std::vector<seq::AddressTrace>& traces,
   // even *chosen* — in scheduling order, but store_batch writes the batch
   // in cache-key order under one insertion generation, so cache directories
   // (index.txt line order included) come out byte-identical at every thread
-  // split.  After the store, warm-start hits observed this run are credited
+  // count.  After the store, warm-start hits observed this run are credited
   // to their entries (prune's eviction priority feeds on them), and when a
   // byte budget is configured the directory is pruned back under it — the
   // flush-time enforcement that keeps a bounded directory bounded.

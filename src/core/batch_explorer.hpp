@@ -5,16 +5,15 @@
 //
 // Determinism contract: for a fixed input trace list and options, the
 // BatchResult entries — and therefore batch_report_csv / batch_report_json —
-// are byte-identical regardless of thread count (outer `threads` and inner
-// `explore.arch_threads` alike), scheduling, or cache state (cold,
-// memo-warm, or disk-warm); newly flushed cache directories are likewise
-// byte-identical (entries are canonical and the index is written in cache-
-// key order).  Entries are ordered by input position; nothing schedule- or
-// cache-dependent (timings, worker ids, hit counts) enters the serialized
-// reports.  Cache statistics live only in BatchResult
-// fields: they are deterministic for a fixed input and cache state, but a
-// warm disk cache turns evaluations into disk_hits, so they are *not* part
-// of any report.  This is what makes sharded runs mergeable byte-for-byte
+// are byte-identical regardless of thread count, scheduling, or cache
+// state (cold, memo-warm, or disk-warm); newly flushed cache directories
+// are likewise byte-identical (entries are canonical and the index is
+// written in cache-key order).  Entries are ordered by input position;
+// nothing schedule- or cache-dependent (timings, worker ids, hit counts)
+// enters the serialized reports.  Cache statistics live only in
+// BatchResult fields: they are deterministic for a fixed input and cache
+// state, but a warm disk cache turns evaluations into disk_hits, so they
+// are *not* part of any report.  This is what makes sharded runs mergeable byte-for-byte
 // (see tools/addm_merge and docs/cache-format.md).
 #pragma once
 
@@ -31,13 +30,12 @@ namespace addm::core {
 /// Configuration for one BatchExplorer.  Value type; copying is cheap
 /// relative to an exploration.
 struct BatchOptions {
-  /// Per-trace exploration knobs.  `explore.arch_threads` requests the
-  /// inner (per-trace candidate) parallelism level; run() feeds it and
-  /// `threads` through split_threads (core/thread_pool) so outer × inner
-  /// workers never exceed the `threads` budget.
+  /// Per-trace exploration knobs.
   ExploreOptions explore;
-  /// TOTAL worker-thread budget across both scheduling levels (traces ×
-  /// architectures); 0 means std::thread::hardware_concurrency().
+  /// Worker threads, one trace per task (each trace's candidates run
+  /// serially); 0 means std::thread::hardware_concurrency().  run() never
+  /// starts more workers than it has traces, and with one worker it runs
+  /// on the calling thread without a pool.
   std::size_t threads = 0;
   /// Reuse results across identical (trace, options) pairs, including across
   /// successive run() calls on the same BatchExplorer.
@@ -112,7 +110,7 @@ class BatchExplorer {
   /// Concurrency: run() may be called from several threads at once — the
   /// memo table is shared (two racing identical traces evaluate once), and
   /// this process's disk writes are serialized internally.  Each concurrent
-  /// run() builds its own worker pool against the full `threads` budget, so
+  /// run() uses its own workers against the full `threads` budget, so
   /// the caller owns not oversubscribing across simultaneous runs (the
   /// serve daemon bounds this with its request-thread count).
   BatchResult run(const std::vector<seq::AddressTrace>& traces);
@@ -121,8 +119,7 @@ class BatchExplorer {
   /// where every request carries its own ExploreOptions but all requests
   /// share one memo table.  Results for different option sets coexist in
   /// the memo keyed by (trace, options) fingerprints, exactly like the
-  /// persistent cache.  `explore.arch_threads` is split against
-  /// `options().threads` as usual.
+  /// persistent cache.
   BatchResult run(const std::vector<seq::AddressTrace>& traces,
                   const ExploreOptions& explore);
 

@@ -1,7 +1,6 @@
 #include "core/explorer.hpp"
 
 #include <algorithm>
-#include <exception>
 #include <sstream>
 
 #include "core/cntag.hpp"
@@ -9,7 +8,6 @@
 #include "core/sfm.hpp"
 #include "core/srag_elab.hpp"
 #include "core/srag_mapper.hpp"
-#include "core/thread_pool.hpp"
 #include "core/verify.hpp"
 #include "seq/periodicity.hpp"
 #include "synth/fsm.hpp"
@@ -17,31 +15,12 @@
 namespace addm::core {
 
 using netlist::NetId;
-using netlist::Netlist;
 using netlist::NetlistBuilder;
 
 namespace {
 
-DesignPoint measured_point(std::string arch, Netlist nl, const ExploreOptions& opt,
-                           std::string note = {}) {
-  DesignPoint p;
-  p.architecture = std::move(arch);
-  p.metrics = measure_netlist(nl, opt.library, opt.max_fanout);
-  p.feasible = true;
-  p.note = std::move(note);
-  return p;
-}
-
-DesignPoint infeasible_point(std::string arch, std::string why) {
-  DesignPoint p;
-  p.architecture = std::move(arch);
-  p.feasible = false;
-  p.note = std::move(why);
-  return p;
-}
-
-Netlist elaborate_fsm_2d(const seq::AddressTrace& trace, synth::FsmEncoding enc,
-                         const logic::MinimizeOptions& minimize) {
+Candidate build_fsm_2d(const seq::AddressTrace& trace, synth::FsmEncoding enc,
+                       const logic::MinimizeOptions& minimize) {
   const auto rows = trace.rows();
   const auto cols = trace.cols();
   const std::size_t L = trace.length();
@@ -57,8 +36,8 @@ Netlist elaborate_fsm_2d(const seq::AddressTrace& trace, synth::FsmEncoding enc,
   col_spec.select_of_state = cols;
   col_spec.num_select_lines = trace.geometry().width;
 
-  Netlist nl;
-  NetlistBuilder b(nl);
+  Candidate c;
+  NetlistBuilder b(c.netlist);
   const NetId next = b.input("next");
   const NetId reset = b.input("reset");
   const synth::FsmStyle style{enc, /*flat_mapping=*/true, minimize};
@@ -66,7 +45,7 @@ Netlist elaborate_fsm_2d(const seq::AddressTrace& trace, synth::FsmEncoding enc,
   const auto col_ports = synth::build_fsm(b, col_spec, next, reset, style);
   b.output_bus("rs", row_ports.select);
   b.output_bus("cs", col_ports.select);
-  return nl;
+  return c;
 }
 
 bool is_fifo(const seq::AddressTrace& trace) {
@@ -79,8 +58,7 @@ bool is_fifo(const seq::AddressTrace& trace) {
 
 bool always(const seq::AddressTrace&, const ExploreOptions&) { return true; }
 
-DesignPoint elaborate_srag_point(const seq::AddressTrace& trace,
-                                 const ExploreOptions& opt) {
+BuildResult build_srag(const seq::AddressTrace& trace, const ExploreOptions&) {
   try {
     Srag2dBuild srag = build_srag_2d_for_trace(trace);
     std::ostringstream note;
@@ -88,142 +66,77 @@ DesignPoint elaborate_srag_point(const seq::AddressTrace& trace,
          << " ffs dC=" << srag.row.div_count << " pC=" << srag.row.pass_count
          << "; col: " << srag.col.num_registers() << " regs/" << srag.col.num_flipflops()
          << " ffs dC=" << srag.col.div_count << " pC=" << srag.col.pass_count;
-    return measured_point("SRAG", std::move(srag.netlist), opt, note.str());
+    Candidate c;
+    c.netlist = std::move(srag.netlist);
+    c.note = note.str();
+    return c;
   } catch (const std::invalid_argument& e) {
-    return infeasible_point("SRAG", e.what());
+    return std::string(e.what());
   }
 }
 
-DesignPoint elaborate_multicounter_point(const seq::AddressTrace& trace,
-                                         const ExploreOptions& opt) {
-  const auto rows = trace.rows();
-  const auto cols = trace.cols();
-  auto row_map = map_sequence_multicounter(
-      rows, static_cast<std::uint32_t>(trace.geometry().height));
-  auto col_map = map_sequence_multicounter(
-      cols, static_cast<std::uint32_t>(trace.geometry().width));
-  if (!row_map.ok() || !col_map.ok()) {
-    return infeasible_point(
-        "SRAG-multicounter",
-        !row_map.ok() ? "row: " + row_map.detail : "col: " + col_map.detail);
-  }
-  Netlist nl;
-  NetlistBuilder b(nl);
-  const NetId next = b.input("next");
-  const NetId reset = b.input("reset");
-  const auto rp = build_multi_srag(b, *row_map.config, next, reset);
-  const auto cp = build_multi_srag(b, *col_map.config, next, reset);
-  b.output_bus("rs", rp.select);
-  b.output_bus("cs", cp.select);
-  return measured_point("SRAG-multicounter", std::move(nl), opt);
-}
-
-GeneratorEntry cntag_entry(std::string name, synth::DecoderStyle style,
-                           std::string note) {
-  GeneratorEntry e;
-  e.name = name;
-  e.applicable = always;
-  e.elaborate = [name, style, note](const seq::AddressTrace& trace,
-                                    const ExploreOptions& opt) {
-    CntAgOptions copt;
-    copt.decoder_style = style;
-    copt.minimize = opt.minimize;
-    return measured_point(name, elaborate_cntag(trace, copt), opt, note);
-  };
-  e.reference = [style](const seq::AddressTrace& trace,
-                        const ExploreOptions& opt) -> std::optional<ReferenceCircuit> {
-    CntAgOptions copt;
-    copt.decoder_style = style;
-    copt.minimize = opt.minimize;
-    ReferenceCircuit rc;
-    rc.netlist = elaborate_cntag(trace, copt);
-    return rc;
-  };
-  return e;
-}
-
-GeneratorEntry fsm_entry(std::string name, synth::FsmEncoding enc) {
-  GeneratorEntry e;
-  e.name = name;
-  e.applicable = [](const seq::AddressTrace&, const ExploreOptions& opt) {
-    return opt.include_fsm;
-  };
-  e.elaborate = [name, enc](const seq::AddressTrace& trace, const ExploreOptions& opt) {
-    if (trace.length() > opt.max_fsm_states) {
-      return infeasible_point(
-          name, "synthesis impractical beyond " + std::to_string(opt.max_fsm_states) +
-                    " states (sequence has " + std::to_string(trace.length()) + ")");
-    }
-    return measured_point(name, elaborate_fsm_2d(trace, enc, opt.minimize), opt);
-  };
-  e.reference = [enc](const seq::AddressTrace& trace,
-                      const ExploreOptions& opt) -> std::optional<ReferenceCircuit> {
-    if (trace.length() > opt.max_fsm_states) return std::nullopt;
-    ReferenceCircuit rc;
-    rc.netlist = elaborate_fsm_2d(trace, enc, opt.minimize);
-    return rc;
-  };
-  return e;
-}
-
-DesignPoint elaborate_sfm_point(const seq::AddressTrace& trace,
-                                const ExploreOptions& opt) {
-  if (!is_fifo(trace))
-    return infeasible_point("SFM", "SFM supports FIFO access only");
-  return measured_point("SFM", elaborate_sfm(trace.geometry().size()), opt,
-                        "one-hot FIFO pointers (1-D memory)");
-}
-
-// --- reference netlists for gate-level front verification -------------------
-// Each hook re-elaborates the candidate's raw (unbuffered) netlist and
-// names the buses the verify stage must replay against the trace; nullopt
-// mirrors the elaborate callable's infeasibility conditions.
-
-std::optional<ReferenceCircuit> srag_reference(const seq::AddressTrace& trace,
-                                               const ExploreOptions&) {
-  try {
-    ReferenceCircuit rc;
-    rc.netlist = build_srag_2d_for_trace(trace).netlist;
-    return rc;
-  } catch (const std::invalid_argument&) {
-    return std::nullopt;
-  }
-}
-
-std::optional<ReferenceCircuit> multicounter_reference(const seq::AddressTrace& trace,
-                                                       const ExploreOptions&) {
+BuildResult build_multicounter(const seq::AddressTrace& trace, const ExploreOptions&) {
   auto row_map = map_sequence_multicounter(
       trace.rows(), static_cast<std::uint32_t>(trace.geometry().height));
   auto col_map = map_sequence_multicounter(
       trace.cols(), static_cast<std::uint32_t>(trace.geometry().width));
-  if (!row_map.ok() || !col_map.ok()) return std::nullopt;
-  ReferenceCircuit rc;
-  NetlistBuilder b(rc.netlist);
+  if (!row_map.ok()) return "row: " + row_map.detail;
+  if (!col_map.ok()) return "col: " + col_map.detail;
+  Candidate c;
+  NetlistBuilder b(c.netlist);
   const NetId next = b.input("next");
   const NetId reset = b.input("reset");
   const auto rp = build_multi_srag(b, *row_map.config, next, reset);
   const auto cp = build_multi_srag(b, *col_map.config, next, reset);
   b.output_bus("rs", rp.select);
   b.output_bus("cs", cp.select);
-  return rc;
+  return c;
 }
 
-std::optional<ReferenceCircuit> sfm_reference(const seq::AddressTrace& trace,
-                                              const ExploreOptions&) {
-  if (!is_fifo(trace)) return std::nullopt;
-  ReferenceCircuit rc;
-  rc.netlist = elaborate_sfm(trace.geometry().size());
-  rc.drive = {{"next_read", true}, {"next_write", false}};
-  rc.row_bus = "rsel";  // head pointer walks the FIFO order = linear trace
-  rc.col_bus.clear();
-  return rc;
+GeneratorEntry cntag_entry(std::string name, synth::DecoderStyle style,
+                           std::string note) {
+  auto build = [style, note](const seq::AddressTrace& trace,
+                             const ExploreOptions& opt) -> BuildResult {
+    CntAgOptions copt;
+    copt.decoder_style = style;
+    copt.minimize = opt.minimize;
+    Candidate c;
+    c.netlist = elaborate_cntag(trace, copt);
+    c.note = note;
+    return c;
+  };
+  return {std::move(name), always, std::move(build)};
+}
+
+GeneratorEntry fsm_entry(std::string name, synth::FsmEncoding enc) {
+  auto applicable = [](const seq::AddressTrace&, const ExploreOptions& opt) {
+    return opt.include_fsm;
+  };
+  auto build = [enc](const seq::AddressTrace& trace,
+                     const ExploreOptions& opt) -> BuildResult {
+    if (trace.length() > opt.max_fsm_states)
+      return "synthesis impractical beyond " + std::to_string(opt.max_fsm_states) +
+             " states (sequence has " + std::to_string(trace.length()) + ")";
+    return build_fsm_2d(trace, enc, opt.minimize);
+  };
+  return {std::move(name), applicable, std::move(build)};
+}
+
+BuildResult build_sfm(const seq::AddressTrace& trace, const ExploreOptions&) {
+  if (!is_fifo(trace)) return std::string("SFM supports FIFO access only");
+  Candidate c;
+  c.netlist = elaborate_sfm(trace.geometry().size());
+  c.note = "one-hot FIFO pointers (1-D memory)";
+  c.drive = {{"next_read", true}, {"next_write", false}};
+  c.row_bus = "rsel";  // head pointer walks the FIFO order = linear trace
+  c.col_bus.clear();
+  return c;
 }
 
 std::vector<GeneratorEntry> build_registry() {
   std::vector<GeneratorEntry> reg;
-  reg.push_back({"SRAG", always, elaborate_srag_point, srag_reference});
-  reg.push_back({"SRAG-multicounter", always, elaborate_multicounter_point,
-                 multicounter_reference});
+  reg.push_back({"SRAG", always, build_srag});
+  reg.push_back({"SRAG-multicounter", always, build_multicounter});
   reg.push_back(cntag_entry("CntAG-flat", synth::DecoderStyle::Flat, "flat decoders"));
   reg.push_back(cntag_entry("CntAG-shared", synth::DecoderStyle::SharedChain,
                             "shared chain decoders (2002 flow)"));
@@ -232,11 +145,27 @@ std::vector<GeneratorEntry> build_registry() {
   reg.push_back(fsm_entry("FSM-binary", synth::FsmEncoding::Binary));
   reg.push_back(fsm_entry("FSM-gray", synth::FsmEncoding::Gray));
   reg.push_back(fsm_entry("FSM-onehot", synth::FsmEncoding::OneHot));
-  reg.push_back({"SFM", always, elaborate_sfm_point, sfm_reference});
+  reg.push_back({"SFM", always, build_sfm});
   return reg;
 }
 
 }  // namespace
+
+DesignPoint GeneratorEntry::elaborate(const seq::AddressTrace& trace,
+                                      const ExploreOptions& opt) const {
+  DesignPoint p;
+  p.architecture = name;
+  BuildResult built = build(trace, opt);
+  if (auto* why = std::get_if<std::string>(&built)) {
+    p.note = std::move(*why);
+    return p;
+  }
+  Candidate& c = std::get<Candidate>(built);
+  p.metrics = measure_netlist(c.netlist, opt.library, opt.max_fanout);
+  p.feasible = true;
+  p.note = std::move(c.note);
+  return p;
+}
 
 const std::vector<GeneratorEntry>& generator_registry() {
   static const std::vector<GeneratorEntry> registry = build_registry();
@@ -276,53 +205,20 @@ std::vector<DesignPoint> explore_generators(const seq::AddressTrace& trace,
     }
   }
 
-  // Select in registry order; the selection depends only on (trace, opt),
-  // never on scheduling, so the slot layout of `points` is fixed up front.
-  std::vector<const GeneratorEntry*> selected;
+  // Serial, in registry order: an exception leaves at the registry-first
+  // failing entry, so even error strings are deterministic.
+  std::vector<DesignPoint> points;
   for (const GeneratorEntry& e : generator_registry()) {
     if (!opt.archs.empty() &&
         std::find(opt.archs.begin(), opt.archs.end(), e.name) == opt.archs.end())
       continue;
-    if (!e.applicable(trace, opt)) continue;
-    selected.push_back(&e);
+    if (e.applicable(trace, opt)) points.push_back(e.elaborate(trace, opt));
   }
 
-  std::vector<DesignPoint> points(selected.size());
-  std::vector<std::exception_ptr> errors(selected.size());
-  auto run_one = [&](std::size_t i) {
-    try {
-      points[i] = selected[i]->elaborate(trace, opt);
-    } catch (...) {
-      errors[i] = std::current_exception();
-    }
-  };
-
-  std::size_t want = opt.arch_threads;
-  if (want == 0) {
-    want = std::thread::hardware_concurrency();
-    if (want == 0) want = 1;
-  }
-  want = std::min(want, selected.size());
-  if (want <= 1) {
-    for (std::size_t i = 0; i < selected.size(); ++i) run_one(i);
-  } else {
-    // Each entry is a leaf task writing only its own slot; the pool is local
-    // to this call, so nesting under a batch worker cannot deadlock.
-    ThreadPool pool(want);
-    pool.parallel_for(selected.size(), run_one);
-  }
-
-  // A degenerate trace may fail several entries on different threads;
-  // rethrow the first failure in registry order so callers (and their
-  // serialized error strings) see the same exception at every thread count.
-  for (std::exception_ptr& e : errors)
-    if (e) std::rethrow_exception(e);
-
-  // Opt-in gate-level verification of the Pareto front (core/verify.hpp).
-  // Runs after the parallel section on the calling thread, annotating notes
-  // deterministically — the result stays a pure function of (trace, opt),
-  // and the flag is fingerprinted so annotated and plain runs never share
-  // cache keys.
+  // Opt-in gate-level verification of the Pareto front (core/verify.hpp),
+  // annotating notes deterministically — the result stays a pure function
+  // of (trace, opt), and the flag is fingerprinted so annotated and plain
+  // runs never share cache keys.
   if (opt.verify_front)
     verify_pareto_points(trace, points, pareto_front(points), opt);
   return points;

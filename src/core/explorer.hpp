@@ -13,21 +13,19 @@
 //  * SFM (Aloqeely)                      — FIFO traces only
 //
 // Determinism contract: explore_generators is a pure function of
-// (trace, result-affecting ExploreOptions fields).  Candidates are
-// independent tasks drawn from a stable-ordered registry; the driver may
-// evaluate them on any thread in any order (ExploreOptions::arch_threads),
-// but points are always reassembled in registry order, so the returned
-// vector is byte-identical across runs, hosts, thread counts, and
-// scheduling.  Scheduling knobs (arch_threads) are therefore excluded from
-// options_fingerprint; subset selection (archs) changes the output and is
-// fingerprinted.  Everything below — the batch explorer's reports, the
-// persistent evaluation cache, shard merging — leans on this contract.
+// (trace, result-affecting ExploreOptions fields).  Candidates are built
+// and measured one after another, in the order of a stable registry, so
+// the returned vector is byte-identical across runs and hosts; parallelism
+// lives one level up, across traces (core/batch_explorer).  Subset
+// selection (archs) changes the output and is fingerprinted.  Everything
+// below — the batch explorer's reports, the persistent evaluation cache,
+// shard merging — leans on this contract.
 #pragma once
 
 #include <functional>
-#include <optional>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "core/metrics.hpp"
@@ -51,8 +49,6 @@ struct DesignPoint {
 /// Knobs that affect exploration.  Every result-affecting field MUST be
 /// covered by options_fingerprint (core/fingerprint.hpp) — the persistent
 /// cache relies on that hash as its only invalidation mechanism.
-/// Scheduling-only fields (arch_threads) MUST stay out of it, so that a
-/// differently-parallelized run reuses the same cache entries.
 struct ExploreOptions {
   tech::Library library = tech::Library::generic_180nm();
   int max_fanout = tech::kDefaultMaxFanout;
@@ -64,18 +60,12 @@ struct ExploreOptions {
   /// in canonical (registry-order, deduplicated) form, so a filtered run
   /// never shares cache keys with a full run.
   std::vector<std::string> archs;
-  /// Threads used to evaluate candidates of ONE trace (0 = hardware
-  /// concurrency, 1 = serial on the calling thread).  Pure scheduling: any
-  /// value produces byte-identical points, and the field is excluded from
-  /// options_fingerprint.  The batch explorer overrides this per worker via
-  /// split_threads so outer × inner never exceeds its thread budget.
-  std::size_t arch_threads = 1;
   /// Gate-level verification of the Pareto front (core/verify.hpp): every
-  /// front point is re-elaborated and its netlist replayed against the
-  /// trace in the 64-lane word simulator; the verdict is appended to the
-  /// point's note.  Output-affecting, so it is fingerprinted — but only
-  /// when enabled, keeping default-options fingerprints (and thus existing
-  /// cache directories and reports) pinned.
+  /// front point is rebuilt, buffered exactly as it was scored, and
+  /// replayed against the trace in the 64-lane word simulator; the verdict
+  /// is appended to the point's note.  Output-affecting, so it is
+  /// fingerprinted — but only when enabled, keeping default-options
+  /// fingerprints (and thus existing cache directories and reports) pinned.
   bool verify_front = false;
   /// Two-level minimizer used inside FSM and CntAG elaboration
   /// (logic/minimize.hpp).  The default (Isop) reproduces the historical
@@ -97,25 +87,31 @@ struct ExploreOptions {
   bool compress_periodic = false;
 };
 
-/// A candidate's netlist re-elaborated for gate-level verification, plus the
-/// replay recipe: after one reset cycle with `drive` inputs applied, the
+/// A feasible candidate: its elaborated (not yet buffered) netlist, the
+/// note reported with its point, and the replay recipe for gate-level
+/// verification — after one reset cycle with `drive` inputs applied, the
 /// asserted line of `row_bus` (and `col_bus`, when present) must track the
 /// trace's row/column address sequence cycle by cycle.  With an empty
 /// `col_bus` the single bus is checked against the linear address sequence
 /// (1-D generators such as the SFM).
-struct ReferenceCircuit {
+struct Candidate {
   netlist::Netlist netlist;
+  std::string note;
   /// Inputs held for the whole replay once "reset" is released.
   std::vector<std::pair<std::string, bool>> drive = {{"next", true}};
   std::string row_bus = "rs";
   std::string col_bus = "cs";
 };
 
-/// One self-describing candidate architecture in the registry.  Both
-/// callables are pure functions of their arguments and thread-safe for
-/// concurrent invocation; `elaborate` returns an infeasible point (never
-/// throws) for per-candidate rejection, and throws only for degenerate
-/// traces that no candidate could process.
+/// What a registry entry's `build` returns: the candidate, or the reason
+/// it is infeasible for the trace.
+using BuildResult = std::variant<Candidate, std::string>;
+
+/// One self-describing candidate architecture in the registry.  `build` is
+/// the only place the candidate's netlist is constructed; it is a pure
+/// function of its arguments and thread-safe for concurrent invocation.
+/// Per-candidate rejection is a returned reason, never an exception; it
+/// throws only for degenerate traces that no candidate could process.
 struct GeneratorEntry {
   /// Stable label; doubles as the `archs` filter key and the report value.
   std::string name;
@@ -124,15 +120,12 @@ struct GeneratorEntry {
   /// NOT applicability: an over-budget FSM or a non-FIFO SFM stays
   /// applicable and reports an infeasible point.
   std::function<bool(const seq::AddressTrace&, const ExploreOptions&)> applicable;
-  /// Maps + elaborates + measures the candidate for `trace`.
-  std::function<DesignPoint(const seq::AddressTrace&, const ExploreOptions&)> elaborate;
-  /// Re-elaborates the candidate netlist for gate-level verification
-  /// (ExploreOptions::verify_front); nullopt when the candidate is
-  /// infeasible for `trace`.  Pure and thread-safe like the other
-  /// callables.
-  std::function<std::optional<ReferenceCircuit>(const seq::AddressTrace&,
-                                                const ExploreOptions&)>
-      reference;
+  /// Maps + elaborates the candidate for `trace`.
+  std::function<BuildResult(const seq::AddressTrace&, const ExploreOptions&)> build;
+
+  /// Runs `build`, then measures the netlist (measure_netlist: buffering,
+  /// STA, area) into this candidate's design point.
+  DesignPoint elaborate(const seq::AddressTrace& trace, const ExploreOptions& opt) const;
 };
 
 /// The stable-ordered candidate table.  The order is part of the output
@@ -146,15 +139,14 @@ const std::vector<GeneratorEntry>& generator_registry();
 /// Registry names, in registry order — the valid `archs` values.
 std::vector<std::string> generator_names();
 
-/// Evaluates every applicable candidate architecture for `trace` and
-/// returns one DesignPoint per candidate, in registry order.
+/// Evaluates every applicable candidate architecture for `trace`, serially
+/// in registry order, and returns one DesignPoint per candidate.
 /// Deterministic: equal (trace, opt) inputs produce equal output, byte for
-/// byte, across runs, hosts, and every arch_threads value.  Thread-safe
-/// for concurrent calls (shared state is read-only).  May throw
-/// (std::invalid_argument and friends) on degenerate traces, e.g. empty
-/// ones — deterministically, the first failing entry in registry order —
-/// while per-candidate infeasibility is reported in the points, not
-/// thrown.
+/// byte, across runs and hosts.  Thread-safe for concurrent calls (shared
+/// state is read-only).  May throw (std::invalid_argument and friends) on
+/// degenerate traces, e.g. empty ones — the exception of the first failing
+/// entry in registry order — while per-candidate infeasibility is reported
+/// in the points, not thrown.
 std::vector<DesignPoint> explore_generators(const seq::AddressTrace& trace,
                                             const ExploreOptions& opt = {});
 

@@ -22,8 +22,6 @@ std::uint64_t options_fingerprint(const ExploreOptions& opt) {
   h.u64(static_cast<std::uint64_t>(opt.max_fanout));
   h.u64(opt.max_fsm_states);
   h.u64(opt.include_fsm ? 1 : 0);
-  // arch_threads is pure scheduling (byte-identical output at any value) and
-  // is deliberately NOT hashed: parallel and serial runs share cache keys.
   // An archs subset changes which points exist, so it is hashed — in
   // canonical form (registry-order intersection, deduplicated, and a
   // filter selecting the whole registry collapses to no filter), making

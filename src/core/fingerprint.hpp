@@ -17,11 +17,11 @@
 // exploration change without an options change (new candidate architecture,
 // metrics fix), kOptionsFingerprintSeed MUST be bumped — either change makes
 // every previously persisted cache entry unreachable rather than stale.
-// The converse also holds: scheduling-only fields (ExploreOptions::
-// arch_threads) MUST stay out of the hash, and new result-affecting fields
-// must hash nothing at their default value when the default reproduces the
-// previous behavior (ExploreOptions::archs does), so existing caches stay
-// warm across upgrades.
+// The converse also holds: scheduling-only settings (BatchOptions::threads)
+// MUST stay out of the hash, and new result-affecting fields must hash
+// nothing at their default value when the default reproduces the previous
+// behavior (ExploreOptions::archs does), so existing caches stay warm
+// across upgrades.
 #pragma once
 
 #include <cstdint>

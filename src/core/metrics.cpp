@@ -7,10 +7,14 @@
 
 namespace addm::core {
 
+tech::BufferingStats prepare_scored_netlist(netlist::Netlist& nl, int max_fanout) {
+  nl.sweep_dead_cells();  // drop logic no output depends on, as synthesis does
+  return tech::insert_buffers(nl, max_fanout);
+}
+
 GeneratorMetrics measure_netlist(netlist::Netlist& nl, const tech::Library& lib,
                                  int max_fanout) {
-  nl.sweep_dead_cells();  // drop logic no output depends on, as synthesis does
-  const auto buf_stats = tech::insert_buffers(nl, max_fanout);
+  const auto buf_stats = prepare_scored_netlist(nl, max_fanout);
   const auto timing = tech::analyze_timing(nl, lib);
   const auto area = tech::analyze_area(nl, lib);
 

@@ -22,7 +22,13 @@ struct GeneratorMetrics {
   std::size_t buffers_added = 0;
 };
 
-/// Buffers `nl` in place, then runs STA and area analysis.
+/// Turns an elaborated netlist into the scored netlist, in place: sweeps
+/// logic no output depends on, then repairs fanout with buffer trees.  The
+/// one definition shared by measure_netlist (which scores the result) and
+/// front verification (which replays it).
+tech::BufferingStats prepare_scored_netlist(netlist::Netlist& nl, int max_fanout);
+
+/// prepare_scored_netlist, then STA and area analysis of the result.
 GeneratorMetrics measure_netlist(netlist::Netlist& nl, const tech::Library& lib,
                                  int max_fanout = tech::kDefaultMaxFanout);
 

@@ -1,5 +1,5 @@
-// Fixed-size worker pool used by the batch explorer and available to any
-// future parallel subsystem.
+// Fixed-size worker pool used by the batch explorer (one task per trace)
+// and the serve daemon (one task per connection).
 //
 // Semantics:
 //  * submit() enqueues a task; workers drain the queue FIFO.
@@ -10,11 +10,7 @@
 //    makes thread-count-independence tests trivial to anchor.
 //
 // Tasks must not call submit()/wait_idle() on their own pool (no nested
-// scheduling).  Nested parallelism uses two *distinct* pools instead: an
-// outer pool's task may construct its own inner pool (the explorer's
-// per-trace candidate fan-out does exactly that), and split_threads()
-// divides one thread budget between the two levels so the product of pool
-// sizes never oversubscribes it.
+// scheduling); a task may construct and drive a *distinct* pool.
 #pragma once
 
 #include <condition_variable>
@@ -27,30 +23,6 @@
 #include <vector>
 
 namespace addm::core {
-
-/// A two-level division of one thread budget: `outer` concurrent tasks,
-/// each allowed `inner` threads of its own.
-struct ThreadSplit {
-  std::size_t outer = 1;
-  std::size_t inner = 1;
-};
-
-/// Splits a total thread budget between an outer task level and an inner
-/// per-task level (the batch explorer's traces × architectures nesting).
-/// `total` and `inner_request` of 0 mean hardware concurrency.  The inner
-/// level gets min(inner_request, total); the outer level gets the largest
-/// count with outer × inner <= total (at least 1).  Pure scheduling
-/// arithmetic: callers rely on it only for capacity, never for results.
-inline ThreadSplit split_threads(std::size_t total, std::size_t inner_request) {
-  std::size_t hw = std::thread::hardware_concurrency();
-  if (hw == 0) hw = 1;
-  if (total == 0) total = hw;
-  if (inner_request == 0) inner_request = hw;
-  ThreadSplit s;
-  s.inner = inner_request < total ? inner_request : total;
-  s.outer = total / s.inner;
-  return s;
-}
 
 class ThreadPool {
  public:

@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "core/metrics.hpp"
 #include "sim/word_simulator.hpp"
 
 namespace addm::core {
@@ -38,36 +39,36 @@ std::optional<std::string> check_one_hot(const WordSimulator& ws,
 
 }  // namespace
 
-std::optional<std::string> verify_reference_against_trace(
-    const ReferenceCircuit& rc, const seq::AddressTrace& trace) {
-  WordSimulator ws(rc.netlist);
+std::optional<std::string> verify_candidate(const Candidate& c,
+                                            const seq::AddressTrace& trace) {
+  WordSimulator ws(c.netlist);
 
-  const auto row_nets = rc.netlist.output_bus(rc.row_bus);
-  if (row_nets.empty()) return "reference netlist has no output bus " + rc.row_bus;
+  const auto row_nets = c.netlist.output_bus(c.row_bus);
+  if (row_nets.empty()) return "netlist has no output bus " + c.row_bus;
   std::vector<netlist::NetId> col_nets;
-  if (!rc.col_bus.empty()) {
-    col_nets = rc.netlist.output_bus(rc.col_bus);
-    if (col_nets.empty()) return "reference netlist has no output bus " + rc.col_bus;
+  if (!c.col_bus.empty()) {
+    col_nets = c.netlist.output_bus(c.col_bus);
+    if (col_nets.empty()) return "netlist has no output bus " + c.col_bus;
   }
 
   // One reset cycle with the replay inputs deasserted, then hold `drive`.
   ws.set_all("reset", true);
-  for (const auto& [name, value] : rc.drive) {
+  for (const auto& [name, value] : c.drive) {
     (void)value;
     ws.set_all(name, false);
   }
   ws.step();
   ws.set_all("reset", false);
-  for (const auto& [name, value] : rc.drive) ws.set_all(name, value);
+  for (const auto& [name, value] : c.drive) ws.set_all(name, value);
 
   for (std::size_t k = 0; k < trace.length(); ++k) {
     const std::uint32_t a = trace.linear()[k];
     if (col_nets.empty()) {
-      if (auto err = check_one_hot(ws, row_nets, rc.row_bus, a, k)) return err;
+      if (auto err = check_one_hot(ws, row_nets, c.row_bus, a, k)) return err;
     } else {
-      if (auto err = check_one_hot(ws, row_nets, rc.row_bus, trace.row_of(a), k))
+      if (auto err = check_one_hot(ws, row_nets, c.row_bus, trace.row_of(a), k))
         return err;
-      if (auto err = check_one_hot(ws, col_nets, rc.col_bus, trace.col_of(a), k))
+      if (auto err = check_one_hot(ws, col_nets, c.col_bus, trace.col_of(a), k))
         return err;
     }
     ws.step();
@@ -90,17 +91,19 @@ FrontVerification verify_pareto_points(const seq::AddressTrace& trace,
         break;
       }
 
-    std::optional<ReferenceCircuit> rc;
-    if (entry && entry->reference) rc = entry->reference(trace, opt);
-    if (!rc) {
-      // A feasible front point whose candidate cannot re-elaborate should
-      // not happen; record it visibly rather than passing it silently.
-      p.note += " [verify skipped: no reference netlist]";
+    BuildResult built = entry ? entry->build(trace, opt) : BuildResult{std::string()};
+    Candidate* c = std::get_if<Candidate>(&built);
+    if (!c) {
+      // A feasible front point whose candidate does not rebuild should not
+      // happen; record it visibly rather than passing it silently.
+      p.note += " [verify skipped: candidate did not rebuild]";
       ++tally.skipped;
       continue;
     }
+    // Replay the netlist that was scored, not the raw elaboration.
+    prepare_scored_netlist(c->netlist, opt.max_fanout);
 
-    if (auto err = verify_reference_against_trace(*rc, trace)) {
+    if (auto err = verify_candidate(*c, trace)) {
       p.note += " [verify FAILED: " + *err + "]";
       ++tally.failed;
     } else {

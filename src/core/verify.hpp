@@ -4,11 +4,12 @@
 // the levelized 64-lane simulator it is cheap enough to run over every
 // Pareto point of every explored trace.
 //
-// For each Pareto-front design point the candidate's netlist is
-// re-elaborated (GeneratorEntry::reference) and replayed against the trace
-// in sim::WordSimulator with the stimulus replicated into all 64 lanes: at
-// every cycle the expected select line must be asserted in ALL lanes and
-// every other line in none, so one replay checks both functional
+// For each Pareto-front design point the candidate is rebuilt
+// (GeneratorEntry::build), turned into the netlist that was scored
+// (prepare_scored_netlist: sweep + buffer trees), and replayed against the
+// trace in sim::WordSimulator with the stimulus replicated into all 64
+// lanes: at every cycle the expected select line must be asserted in ALL
+// lanes and every other line in none, so one replay checks both functional
 // correctness and lane coherence.  The verdict is appended to the point's
 // note — deterministically, so annotated results memoize, cache and shard
 // exactly like plain ones.
@@ -28,15 +29,15 @@ namespace addm::core {
 struct FrontVerification {
   std::size_t verified = 0;  ///< points whose replay matched the trace
   std::size_t failed = 0;    ///< points whose replay diverged
-  std::size_t skipped = 0;   ///< points without a reference recipe
+  std::size_t skipped = 0;   ///< points whose candidate did not rebuild
 };
 
-/// Replays `trace` through `rc`'s netlist (one reset cycle, then one cycle
+/// Replays `trace` through `c`'s netlist (one reset cycle, then one cycle
 /// per access) and checks the select buses against the trace's address
 /// sequences in every lane.  Returns nullopt on success, a diagnostic on
 /// the first divergence.
-std::optional<std::string> verify_reference_against_trace(
-    const ReferenceCircuit& rc, const seq::AddressTrace& trace);
+std::optional<std::string> verify_candidate(const Candidate& c,
+                                            const seq::AddressTrace& trace);
 
 /// Verifies every point of `front` (indices into `points`) and appends
 /// " [verified: ...]" / " [verify FAILED: ...]" to the point notes.

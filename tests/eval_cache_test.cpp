@@ -438,9 +438,9 @@ TEST(EvalCacheBatch, FilteredRunNeverPoisonsAFullRunsCache) {
   EXPECT_EQ(batch_report_csv(warm_filtered), batch_report_csv(f));
 }
 
-TEST(EvalCacheBatch, CacheDirectoryBytesIndependentOfThreadSplit) {
+TEST(EvalCacheBatch, CacheDirectoryBytesIndependentOfThreadCount) {
   // Entry files are canonical and the flush is sorted by cache key, so two
-  // cold runs with different thread splits must write byte-identical
+  // cold runs with different thread counts must write byte-identical
   // directories — the property the arch_determinism ctest entry enforces
   // end-to-end through the CLI.  Duplicated traces are the hard case: with
   // threads > 1 even the evaluation *owner* of a duplicated key is a race,
@@ -448,12 +448,10 @@ TEST(EvalCacheBatch, CacheDirectoryBytesIndependentOfThreadSplit) {
   auto traces = seq::standard_suite({8, 8});
   traces.push_back(traces[0]);
   traces.insert(traces.begin(), traces[2]);
-  auto populate = [&](const std::string& name, std::size_t threads,
-                      std::size_t arch_threads) {
+  auto populate = [&](const std::string& name, std::size_t threads) {
     const std::string dir = fresh_dir(name);
     BatchOptions opt;
     opt.threads = threads;
-    opt.explore.arch_threads = arch_threads;
     opt.cache_dir = dir;
     BatchExplorer(opt).run(traces);
     std::map<std::string, std::string> files;
@@ -465,11 +463,11 @@ TEST(EvalCacheBatch, CacheDirectoryBytesIndependentOfThreadSplit) {
     }
     return files;
   };
-  const auto reference = populate("split_ref", 1, 1);
+  const auto reference = populate("threads_ref", 1);
   EXPECT_FALSE(reference.empty());
-  EXPECT_EQ(populate("split_a", 4, 1), reference);
-  EXPECT_EQ(populate("split_b", 4, 2), reference);
-  EXPECT_EQ(populate("split_c", 1, 8), reference);
+  EXPECT_EQ(populate("threads_2", 2), reference);
+  EXPECT_EQ(populate("threads_4", 4), reference);
+  EXPECT_EQ(populate("threads_8", 8), reference);
 }
 
 }  // namespace

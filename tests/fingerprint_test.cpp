@@ -48,17 +48,6 @@ TEST(Fingerprint, PinnedValuesForCacheCompatibility) {
   EXPECT_EQ(trace_fingerprint(seq::incremental({8, 8})), 0x0484d9da654efdc5ull);
 }
 
-TEST(Fingerprint, ArchThreadsIsSchedulingOnlyAndNotHashed) {
-  // arch_threads never changes exploration output, so serial and parallel
-  // runs must share cache entries.
-  const ExploreOptions base;
-  for (std::size_t t : {0u, 1u, 2u, 64u}) {
-    ExploreOptions o = base;
-    o.arch_threads = t;
-    EXPECT_EQ(options_fingerprint(o), options_fingerprint(base)) << t;
-  }
-}
-
 TEST(Fingerprint, ArchsSubsetsGetDistinctCanonicalKeys) {
   const ExploreOptions base;
   const std::uint64_t full = options_fingerprint(base);

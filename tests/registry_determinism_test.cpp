@@ -1,7 +1,7 @@
 // Determinism tests for the architecture-generator registry driver: the
-// points explore_generators returns must be byte-identical at every
-// arch_threads value, and registry-ordered no matter what order the
-// entries actually execute in.
+// points explore_generators returns must be registry-ordered no matter what
+// order the entries actually execute in, and batch reports must be
+// byte-identical at every thread count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -36,25 +36,6 @@ void expect_points_equal(const std::vector<DesignPoint>& a,
   }
 }
 
-TEST(RegistryDeterminism, IdenticalPointsAcrossArchThreads) {
-  // Traces chosen to cover feasible, infeasible, and mixed registries.
-  const seq::AddressTrace traces[] = {seq::incremental({8, 8}),
-                                      seq::zigzag({8, 8}),
-                                      seq::transpose_read({8, 8})};
-  for (const auto& trace : traces) {
-    ExploreOptions serial;
-    serial.arch_threads = 1;
-    const auto reference = explore_generators(trace, serial);
-    for (std::size_t arch_threads : {2u, 8u, 0u}) {
-      ExploreOptions opt;
-      opt.arch_threads = arch_threads;
-      expect_points_equal(reference, explore_generators(trace, opt),
-                          trace.name() + " arch_threads=" +
-                              std::to_string(arch_threads));
-    }
-  }
-}
-
 TEST(RegistryDeterminism, ShuffledExecutionOrderYieldsRegistryOrder) {
   // Candidates are independent tasks: evaluating registry entries one by
   // one, in a shuffled order, must reproduce the driver's points slot for
@@ -83,41 +64,50 @@ TEST(RegistryDeterminism, ShuffledExecutionOrderYieldsRegistryOrder) {
   }
 }
 
-TEST(RegistryDeterminism, ParetoAndFilterStableAcrossArchThreads) {
-  const auto trace = seq::zigzag({8, 8});
-  ExploreOptions serial;
-  serial.archs = {"CntAG-flat", "FSM-binary", "SFM"};
-  serial.arch_threads = 1;
-  const auto reference = explore_generators(trace, serial);
-  ExploreOptions parallel = serial;
-  parallel.arch_threads = 8;
-  const auto points = explore_generators(trace, parallel);
-  expect_points_equal(reference, points, "filtered");
-  EXPECT_EQ(pareto_front(reference), pareto_front(points));
+TEST(RegistryDeterminism, ParetoAndFilterStableAcrossThreads) {
+  // An archs-filtered batch: its points and their Pareto front are
+  // identical at every thread count.
+  const std::vector<seq::AddressTrace> traces = {seq::zigzag({8, 8}),
+                                                 seq::incremental({8, 8})};
+  BatchOptions opt;
+  opt.threads = 1;
+  opt.explore.archs = {"CntAG-flat", "FSM-binary", "SFM"};
+  const BatchResult reference = BatchExplorer(opt).run(traces);
+  ASSERT_EQ(reference.entries.size(), traces.size());
+  EXPECT_EQ(reference.entries[0].points.size(), 3u);
+  for (std::size_t threads : {2u, 8u}) {
+    opt.threads = threads;
+    const BatchResult result = BatchExplorer(opt).run(traces);
+    ASSERT_EQ(result.entries.size(), traces.size());
+    for (std::size_t t = 0; t < traces.size(); ++t) {
+      const std::string context = traces[t].name() + " threads=" + std::to_string(threads);
+      expect_points_equal(reference.entries[t].points, result.entries[t].points, context);
+      EXPECT_EQ(reference.entries[t].pareto, result.entries[t].pareto) << context;
+      EXPECT_EQ(pareto_front(result.entries[t].points), result.entries[t].pareto)
+          << context;
+    }
+  }
 }
 
 TEST(RegistryDeterminism, BatchReportsIdenticalAcrossThreadMatrix) {
-  // The ISSUE's matrix at the API level: arch_threads x threads must not
-  // change a byte of either report.  (The CLI-level matrix, cache
-  // directories included, is the arch_determinism ctest entry.)
+  // Thread count must not change a byte of either report.  (The CLI-level
+  // matrix, cache directories included, is the arch_determinism ctest
+  // entry.)
   const auto traces = seq::standard_suite({8, 8});
   std::string csv_ref, json_ref;
-  for (std::size_t threads : {1u, 4u}) {
-    for (std::size_t arch_threads : {1u, 2u, 8u}) {
-      BatchOptions opt;
-      opt.threads = threads;
-      opt.explore.arch_threads = arch_threads;
-      BatchExplorer batch(opt);
-      const BatchResult result = batch.run(traces);
-      const std::string csv = batch_report_csv(result);
-      const std::string json = batch_report_json(result);
-      if (csv_ref.empty()) {
-        csv_ref = csv;
-        json_ref = json;
-      } else {
-        EXPECT_EQ(csv, csv_ref) << threads << "x" << arch_threads;
-        EXPECT_EQ(json, json_ref) << threads << "x" << arch_threads;
-      }
+  for (std::size_t threads : {1u, 2u, 4u, 8u}) {
+    BatchOptions opt;
+    opt.threads = threads;
+    BatchExplorer batch(opt);
+    const BatchResult result = batch.run(traces);
+    const std::string csv = batch_report_csv(result);
+    const std::string json = batch_report_json(result);
+    if (csv_ref.empty()) {
+      csv_ref = csv;
+      json_ref = json;
+    } else {
+      EXPECT_EQ(csv, csv_ref) << threads;
+      EXPECT_EQ(json, json_ref) << threads;
     }
   }
 }
@@ -126,49 +116,53 @@ TEST(RegistryDeterminism, EspressoMinimizerDeterministicAcrossThreadMatrix) {
   // FSM-heavy batch with the heuristic minimizer actually engaged: zigzag
   // traces exercise the biggest FSM covers, and a threshold of 1 routes
   // every minimize() call through espresso.  Reports must still be
-  // byte-identical at every threads x arch_threads combination, and must
-  // differ from the default-isop reports' metrics only through the
-  // minimizer's (equivalent, possibly differently shaped) covers.
+  // byte-identical at every thread count.
   const std::vector<seq::AddressTrace> traces = {seq::zigzag({16, 16}),
                                                  seq::strided({16, 16}, 3),
                                                  seq::incremental({16, 16})};
   std::string csv_ref;
-  for (std::size_t threads : {1u, 4u}) {
-    for (std::size_t arch_threads : {1u, 4u}) {
-      BatchOptions opt;
-      opt.threads = threads;
-      opt.explore.arch_threads = arch_threads;
-      opt.explore.minimize.algo = logic::MinimizerAlgo::Auto;
-      opt.explore.minimize.heuristic_min_vars = 1;
-      BatchExplorer batch(opt);
-      const std::string csv = batch_report_csv(batch.run(traces));
-      if (csv_ref.empty())
-        csv_ref = csv;
-      else
-        EXPECT_EQ(csv, csv_ref) << threads << "x" << arch_threads;
-    }
+  for (std::size_t threads : {1u, 2u, 4u}) {
+    BatchOptions opt;
+    opt.threads = threads;
+    opt.explore.minimize.algo = logic::MinimizerAlgo::Auto;
+    opt.explore.minimize.heuristic_min_vars = 1;
+    BatchExplorer batch(opt);
+    const std::string csv = batch_report_csv(batch.run(traces));
+    if (csv_ref.empty())
+      csv_ref = csv;
+    else
+      EXPECT_EQ(csv, csv_ref) << threads;
   }
   EXPECT_FALSE(csv_ref.empty());
 }
 
 TEST(RegistryDeterminism, DegenerateTraceThrowsAtEveryThreadCount) {
   // Multiple entries fail for an empty-geometry trace; the driver must
-  // surface the registry-first failure deterministically so batch error
-  // strings (which enter reports) are schedule-independent.
+  // surface the registry-first failure, so batch error strings (which
+  // enter reports) are deterministic at every thread count.
   const seq::AddressTrace empty({4, 4}, {});
-  std::string serial_error;
-  for (std::size_t arch_threads : {1u, 8u}) {
-    ExploreOptions opt;
-    opt.arch_threads = arch_threads;
+  const ExploreOptions opt;
+  std::string first_error;
+  for (const GeneratorEntry& e : generator_registry()) {
     try {
-      explore_generators(empty, opt);
-      FAIL() << "expected a throw at arch_threads=" << arch_threads;
-    } catch (const std::exception& e) {
-      if (arch_threads == 1)
-        serial_error = e.what();
-      else
-        EXPECT_EQ(serial_error, e.what());
+      e.elaborate(empty, opt);
+    } catch (const std::exception& ex) {
+      first_error = ex.what();
+      break;
     }
+  }
+  ASSERT_FALSE(first_error.empty());
+  try {
+    explore_generators(empty, opt);
+    FAIL() << "expected a throw";
+  } catch (const std::exception& ex) {
+    EXPECT_EQ(first_error, ex.what());
+  }
+  for (std::size_t threads : {1u, 4u}) {
+    BatchOptions bo;
+    bo.threads = threads;
+    const BatchResult r = BatchExplorer(bo).run({empty, empty});
+    for (const BatchEntry& entry : r.entries) EXPECT_EQ(entry.error, first_error) << threads;
   }
 }
 

@@ -255,20 +255,17 @@ TEST(StreamProperty, CompressionDeterministicAcrossThreadCounts) {
   std::vector<std::uint32_t> linear;
   for (int r = 0; r < 64; ++r)
     for (std::uint32_t v : {0u, 9u, 18u, 27u}) linear.push_back(v);
-  const seq::AddressTrace trace({8, 8}, linear, "diag");
-  ExploreOptions opt;
-  opt.compress_periodic = true;
-  const auto serial = explore_generators(trace, opt);
+  const seq::AddressTrace diag({8, 8}, linear, "diag");
+  const std::vector<seq::AddressTrace> traces = {diag, seq::incremental({8, 8}), diag};
+  BatchOptions opt;
+  opt.threads = 1;
+  opt.memoize = false;
+  opt.explore.compress_periodic = true;
+  const std::string serial = batch_report_csv(BatchExplorer(opt).run(traces));
+  EXPECT_NE(serial.find("[periodic 64x4]"), std::string::npos);
   for (std::size_t threads : {2u, 4u}) {
-    ExploreOptions o = opt;
-    o.arch_threads = threads;
-    const auto parallel = explore_generators(trace, o);
-    ASSERT_EQ(parallel.size(), serial.size()) << threads;
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_EQ(parallel[i].architecture, serial[i].architecture);
-      EXPECT_EQ(parallel[i].note, serial[i].note);
-      EXPECT_EQ(parallel[i].metrics.area_units, serial[i].metrics.area_units);
-    }
+    opt.threads = threads;
+    EXPECT_EQ(batch_report_csv(BatchExplorer(opt).run(traces)), serial) << threads;
   }
 }
 

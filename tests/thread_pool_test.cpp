@@ -66,50 +66,10 @@ TEST(ThreadPool, ReusableAcrossWaves) {
   }
 }
 
-TEST(SplitThreads, ProductNeverExceedsTheBudget) {
-  for (std::size_t total : {1u, 2u, 3u, 4u, 7u, 8u, 16u, 64u}) {
-    for (std::size_t inner : {1u, 2u, 3u, 4u, 8u, 100u}) {
-      const ThreadSplit s = split_threads(total, inner);
-      EXPECT_GE(s.outer, 1u);
-      EXPECT_GE(s.inner, 1u);
-      EXPECT_LE(s.outer * s.inner, total) << total << "/" << inner;
-      EXPECT_LE(s.inner, inner) << "inner level must not exceed its request";
-    }
-  }
-}
-
-TEST(SplitThreads, InnerRequestIsCappedAtTheBudget) {
-  const ThreadSplit s = split_threads(4, 100);
-  EXPECT_EQ(s.inner, 4u);
-  EXPECT_EQ(s.outer, 1u);
-}
-
-TEST(SplitThreads, SerialInnerGivesTheWholeBudgetToTraces) {
-  const ThreadSplit s = split_threads(8, 1);
-  EXPECT_EQ(s.outer, 8u);
-  EXPECT_EQ(s.inner, 1u);
-}
-
-TEST(SplitThreads, EvenSplit) {
-  const ThreadSplit s = split_threads(8, 2);
-  EXPECT_EQ(s.outer, 4u);
-  EXPECT_EQ(s.inner, 2u);
-}
-
-TEST(SplitThreads, ZeroMeansHardwareForEitherLevel) {
-  std::size_t hw = std::thread::hardware_concurrency();
-  if (hw == 0) hw = 1;
-  const ThreadSplit all_inner = split_threads(0, 0);
-  EXPECT_EQ(all_inner.inner, hw);
-  EXPECT_EQ(all_inner.outer, 1u);
-  const ThreadSplit outer_only = split_threads(0, 1);
-  EXPECT_EQ(outer_only.outer, hw);
-}
-
 TEST(ThreadPool, NestedDistinctPoolsDoNotDeadlock) {
-  // The two-level scheduler pattern: an outer pool task constructs its own
-  // inner pool and parallel_fors over it.  Distinct pools, so the no-nesting
-  // rule is respected; this must complete and cover every (i, j) pair.
+  // An outer pool task constructs its own inner pool and parallel_fors over
+  // it.  Distinct pools, so the no-nesting rule is respected; this must
+  // complete and cover every (i, j) pair.
   ThreadPool outer(2);
   std::atomic<int> count{0};
   outer.parallel_for(4, [&](std::size_t) {

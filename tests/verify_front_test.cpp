@@ -1,16 +1,19 @@
 // Tests for the --verify-front exploration stage (core/verify.hpp): Pareto
 // points get deterministic verification verdicts appended to their notes,
-// non-front points are untouched, failures are reported (not thrown), and
-// the options fingerprint stays pinned for the default options.
+// non-front points are untouched, failures are reported (not thrown), every
+// scored (buffered) netlist replays its trace, and the options fingerprint
+// stays pinned for the default options.
 #include <gtest/gtest.h>
 
 #include <set>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "core/batch_explorer.hpp"
 #include "core/explorer.hpp"
 #include "core/fingerprint.hpp"
+#include "core/metrics.hpp"
 #include "core/verify.hpp"
 #include "netlist/builder.hpp"
 #include "seq/workloads.hpp"
@@ -45,16 +48,49 @@ TEST(VerifyFront, AnnotatesOnlyParetoPoints) {
   }
 }
 
-TEST(VerifyFront, EveryRegistryEntryHasAReference) {
-  for (const GeneratorEntry& e : generator_registry())
-    EXPECT_TRUE(static_cast<bool>(e.reference)) << e.name;
+TEST(VerifyFront, EveryScoredNetlistMatchesItsTrace) {
+  // Registry-wide, not just the front: every feasible candidate of the
+  // stock suite at three geometries is taken through measure_netlist (the
+  // netlist the explorer scores, buffers included) and replayed against its
+  // trace.  Cross-checking against explore_generators pins that the
+  // replayed netlist is the scored one.
+  const ExploreOptions opt;
+  std::size_t checked = 0;
+  for (const seq::ArrayGeometry g : {seq::ArrayGeometry{8, 8}, seq::ArrayGeometry{16, 16},
+                                     seq::ArrayGeometry{32, 32}}) {
+    for (const seq::AddressTrace& trace : seq::standard_suite(g)) {
+      const std::vector<DesignPoint> points = explore_generators(trace, opt);
+      std::size_t slot = 0;
+      for (const GeneratorEntry& e : generator_registry()) {
+        if (!e.applicable(trace, opt)) continue;
+        ASSERT_LT(slot, points.size()) << trace.name();
+        const DesignPoint& scored = points[slot++];
+        BuildResult built = e.build(trace, opt);
+        Candidate* c = std::get_if<Candidate>(&built);
+        ASSERT_EQ(c != nullptr, scored.feasible) << trace.name() << " " << e.name;
+        if (!c) continue;
+        const GeneratorMetrics m = measure_netlist(c->netlist, opt.library, opt.max_fanout);
+        EXPECT_EQ(m.area_units, scored.metrics.area_units) << trace.name() << " " << e.name;
+        EXPECT_EQ(m.buffers_added, scored.metrics.buffers_added)
+            << trace.name() << " " << e.name;
+        const auto err = verify_candidate(*c, trace);
+        EXPECT_FALSE(err.has_value())
+            << trace.name() << " " << e.name << ": " << err.value_or("");
+        ++checked;
+      }
+      EXPECT_EQ(slot, points.size()) << trace.name();
+    }
+  }
+  // 201 of the 27 traces x 9 candidates are feasible; a drop means some
+  // scored netlists went unchecked.
+  EXPECT_EQ(checked, 201u);
 }
 
 TEST(VerifyFront, ReportsMismatchWithCycleDiagnostics) {
   // A "generator" whose select lines are stuck at line 0: correct for the
   // first access of a raster trace, wrong as soon as the address moves.
-  ReferenceCircuit rc;
-  netlist::NetlistBuilder b(rc.netlist);
+  Candidate c;
+  netlist::NetlistBuilder b(c.netlist);
   b.input("reset");
   b.input("next");
   const std::vector<netlist::NetId> stuck = {netlist::kConst1, netlist::kConst0,
@@ -63,14 +99,14 @@ TEST(VerifyFront, ReportsMismatchWithCycleDiagnostics) {
   b.output_bus("cs", stuck);
 
   const auto trace = seq::block_raster({4, 4}, 2, 2);
-  const auto err = verify_reference_against_trace(rc, trace);
+  const auto err = verify_candidate(c, trace);
   ASSERT_TRUE(err.has_value());
   EXPECT_NE(err->find("cycle"), std::string::npos) << *err;
 
   // A missing bus is its own diagnostic, not a crash.
-  ReferenceCircuit no_bus = rc;
+  Candidate no_bus = c;
   no_bus.row_bus = "zz";
-  const auto err2 = verify_reference_against_trace(no_bus, trace);
+  const auto err2 = verify_candidate(no_bus, trace);
   ASSERT_TRUE(err2.has_value());
   EXPECT_NE(err2->find("no output bus"), std::string::npos) << *err2;
 }
@@ -93,7 +129,6 @@ TEST(VerifyFront, BatchReportDeterministicAcrossThreads) {
   serial.explore.verify_front = true;
   BatchOptions threaded;
   threaded.threads = 4;
-  threaded.explore.arch_threads = 2;
   threaded.explore.verify_front = true;
 
   BatchExplorer a(serial);

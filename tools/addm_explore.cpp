@@ -56,9 +56,7 @@ void usage(const char* argv0) {
       << "                       memory drops to one chunk + one line)\n"
       << "\n"
       << "exploration:\n"
-      << "  --threads N          total worker-thread budget (default: hardware)\n"
-      << "  --arch-threads N     per-trace candidate threads, taken from the\n"
-      << "                       --threads budget (default 1; 0 = hardware)\n"
+      << "  --threads N          worker threads, one trace each (default: hardware)\n"
       << "  --archs a,b,...      only these candidate architectures (registry names)\n"
       << "  --no-cache           disable (trace, options) memoization\n"
       << "  --cache-dir DIR      persistent evaluation cache shared across runs\n"
@@ -76,9 +74,10 @@ void usage(const char* argv0) {
       << "                       with --minimizer auto, use espresso for\n"
       << "                       functions of >= N variables (default "
       << addm::logic::kDefaultHeuristicMinVars << ")\n"
-      << "  --verify-front       gate-level-verify every Pareto point in the\n"
-      << "                       64-lane word simulator; verdicts annotate the\n"
-      << "                       report notes (distinct cache keys)\n"
+      << "  --verify-front       rebuild every Pareto point, buffer it as it was\n"
+      << "                       scored, and replay it in the 64-lane word\n"
+      << "                       simulator; verdicts annotate the report notes\n"
+      << "                       (distinct cache keys)\n"
       << "  --compress-periodic  factor each trace into k x period and, when it\n"
       << "                       is exactly whole passes of one period, evaluate\n"
       << "                       candidates on a single period (notes annotated\n"
@@ -139,13 +138,6 @@ int main(int argc, char** argv) {
       if (!parse_size(need_value(), opt.threads) ||
           opt.threads > addm::tools::kMaxThreads) {
         std::cerr << argv[0] << ": --threads expects a number between 0 and "
-                  << addm::tools::kMaxThreads << "\n";
-        return 2;
-      }
-    } else if (arg == "--arch-threads") {
-      if (!parse_size(need_value(), opt.explore.arch_threads) ||
-          opt.explore.arch_threads > addm::tools::kMaxThreads) {
-        std::cerr << argv[0] << ": --arch-threads expects a number between 0 and "
                   << addm::tools::kMaxThreads << "\n";
         return 2;
       }
