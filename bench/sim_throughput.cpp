@@ -2,15 +2,22 @@
 // sim::WordSimulator on address-generator netlists from the scaled suite.
 // Items/sec are lane-cycles (one net-state update of one stimulus stream),
 // so the reported rates are directly comparable: the word simulator should
-// exceed the scalar one by well over 8x on any suite netlist.  These are
-// host-performance numbers, not paper quantities.
+// exceed the scalar one by well over 8x on any suite netlist.  BM_VerifyCandidate
+// times one --verify-front replay (core/verify) in wall-clock time, with
+// trace cycles as items.  These are host-performance numbers, not paper
+// quantities.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
 #include <map>
+#include <stdexcept>
+#include <string>
+#include <variant>
 
 #include "core/cntag.hpp"
+#include "core/explorer.hpp"
 #include "core/metrics.hpp"
+#include "core/verify.hpp"
 #include "netlist/netlist.hpp"
 #include "seq/workloads.hpp"
 #include "sim/simulator.hpp"
@@ -79,6 +86,27 @@ void BM_WordSim(benchmark::State& state) {
                           static_cast<std::int64_t>(sim::WordSimulator::kLanes));
 }
 BENCHMARK(BM_WordSim)->Arg(16)->Arg(32)->Arg(64);
+
+void BM_VerifyCandidate(benchmark::State& state) {
+  // The scaled suite's 64x64 zigzag trace and its CntAG-predecoded front
+  // point, as the explorer scores and verifies it.
+  const auto trace = seq::zigzag({64, 64});
+  const core::ExploreOptions opt;
+  core::BuildResult built = std::string("not in the registry");
+  for (const core::GeneratorEntry& e : core::generator_registry())
+    if (e.name == "CntAG-predecoded") built = e.build(trace, opt);
+  core::Candidate* c = std::get_if<core::Candidate>(&built);
+  if (!c) throw std::runtime_error("CntAG-predecoded: " + std::get<std::string>(built));
+  core::prepare_scored_netlist(c->netlist, opt.max_fanout);
+  for (auto _ : state) {
+    auto err = core::verify_candidate(*c, trace);
+    if (err) throw std::runtime_error(*err);
+    benchmark::DoNotOptimize(err);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(trace.length()));
+}
+BENCHMARK(BM_VerifyCandidate)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace
 

@@ -206,7 +206,9 @@ std::vector<DesignPoint> explore_generators(const seq::AddressTrace& trace,
   }
 
   // Serial, in registry order: an exception leaves at the registry-first
-  // failing entry, so even error strings are deterministic.
+  // failing entry, so even error strings are deterministic.  One minimize
+  // memo spans elaboration and front verification of this trace.
+  const logic::MinimizeMemo memo;
   std::vector<DesignPoint> points;
   for (const GeneratorEntry& e : generator_registry()) {
     if (!opt.archs.empty() &&

@@ -7,12 +7,22 @@
 // For each Pareto-front design point the candidate is rebuilt
 // (GeneratorEntry::build), turned into the netlist that was scored
 // (prepare_scored_netlist: sweep + buffer trees), and replayed against the
-// trace in sim::WordSimulator with the stimulus replicated into all 64
-// lanes: at every cycle the expected select line must be asserted in ALL
-// lanes and every other line in none, so one replay checks both functional
-// correctness and lane coherence.  The verdict is appended to the point's
-// note — deterministically, so annotated results memoize, cache and shard
-// exactly like plain ones.
+// trace in sim::WordSimulator as 64 segments side by side.  With T trace
+// cycles and S = ceil(T/64), lane l replays cycles [l*S, (l+1)*S):
+//
+//  1. A serial pass runs the next-state cone only (step_state) from reset
+//     and records the flip-flop state at every S-th cycle as one lane's
+//     seed.
+//  2. A parallel pass loads the seeds and runs S full cycles, checking at
+//     each one that every live lane asserts exactly its expected select line.
+//  3. A seam check requires each lane's final state to equal the next lane's
+//     seed, so the segments stitch into one replay from reset.
+//
+// Every trace cycle is checked once, and a failure names the earliest
+// failing cycle in trace order with the same bus and line (row bus first,
+// lowest line first) that a replay with the stimulus in all 64 lanes would
+// name.  The verdict is appended to the point's note — deterministically, so
+// annotated results memoize, cache and shard exactly like plain ones.
 #pragma once
 
 #include <cstddef>
@@ -33,9 +43,9 @@ struct FrontVerification {
 };
 
 /// Replays `trace` through `c`'s netlist (one reset cycle, then one cycle
-/// per access) and checks the select buses against the trace's address
-/// sequences in every lane.  Returns nullopt on success, a diagnostic on
-/// the first divergence.
+/// per access, split into 64 segments) and checks the select buses against
+/// the trace's address sequences.  Returns nullopt on success, a diagnostic
+/// on the earliest divergence.
 std::optional<std::string> verify_candidate(const Candidate& c,
                                             const seq::AddressTrace& trace);
 

@@ -167,6 +167,18 @@ TruthTable TruthTable::diff(const TruthTable& o) const {
   return r;
 }
 
+std::uint64_t TruthTable::hash() const {
+  // splitmix64 finalizer folded over the words.
+  auto mix = [](std::uint64_t x) {
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+    return x ^ (x >> 31);
+  };
+  std::uint64_t h = mix(static_cast<std::uint64_t>(num_vars_));
+  for (auto w : words_) h = mix(h ^ w);
+  return h;
+}
+
 bool TruthTable::implies(const TruthTable& o) const {
   for (std::size_t i = 0; i < words_.size(); ++i)
     if (words_[i] & ~o.words_[i]) return false;

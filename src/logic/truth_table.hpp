@@ -49,6 +49,8 @@ class TruthTable {
   TruthTable diff(const TruthTable& o) const;
 
   bool operator==(const TruthTable& o) const = default;
+  /// Hash of the variable count and every word; equal tables hash equal.
+  std::uint64_t hash() const;
 
   /// True if this implies o (this <= o pointwise).
   bool implies(const TruthTable& o) const;

@@ -1,5 +1,6 @@
 #include "sim/word_simulator.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <stdexcept>
 #include <string>
@@ -18,6 +19,19 @@ WordSimulator::WordSimulator(const Netlist& nl) : nl_(&nl) {
   values_.assign(nl.num_nets(), 0);
   values_[netlist::kConst1] = kAllLanes;
   next_.resize(lev_.seq.size());
+
+  // Next-state cone: walk the level-major stream backwards, keeping an op
+  // when its output feeds a flip-flop pin or an op already kept.  Unused pin
+  // slots name kConst0, which no op drives, so marking them is harmless.
+  std::vector<bool> needed(nl.num_nets(), false);
+  for (const FlatOp& ff : lev_.seq)
+    for (NetId in : ff.in) needed[in] = true;
+  for (auto it = lev_.comb.rbegin(); it != lev_.comb.rend(); ++it) {
+    if (!needed[it->out]) continue;
+    state_cone_.push_back(*it);
+    for (NetId in : it->in) needed[in] = true;
+  }
+  std::reverse(state_cone_.begin(), state_cone_.end());
   eval();
 }
 
@@ -86,10 +100,15 @@ void WordSimulator::set_bus_lane(std::string_view prefix, std::size_t lane,
   dirty_ = true;
 }
 
-void WordSimulator::eval() {
-  // One linear pass over the level-major stream: every op's inputs are final
+void WordSimulator::set_flipflop_word(std::size_t k, std::uint64_t lanes) {
+  values_[lev_.seq[k].out] = lanes;
+  dirty_ = true;
+}
+
+void WordSimulator::eval_ops(std::span<const FlatOp> ops) {
+  // One linear pass over a level-major stream: every op's inputs are final
   // before it runs, and each bitwise expression advances all 64 lanes.
-  for (const FlatOp& op : lev_.comb) {
+  for (const FlatOp& op : ops) {
     const std::uint64_t a = values_[op.in[0]];
     const std::uint64_t b = values_[op.in[1]];
     std::uint64_t v = 0;
@@ -107,15 +126,14 @@ void WordSimulator::eval() {
     }
     values_[op.out] = v;
   }
+}
+
+void WordSimulator::eval() {
+  eval_ops(lev_.comb);
   dirty_ = false;
 }
 
-void WordSimulator::step() {
-  // The previous step's trailing eval() already settled every net, so the
-  // leading pass is needed only after an input changed.
-  if (dirty_) eval();
-  if (count_toggles_) prev_ = values_;
-
+void WordSimulator::clock() {
   // Capture next states from pre-edge values, then commit — lane-parallel
   // mirrors of the scalar flip-flop semantics (reset/set dominant, enable
   // holds Q).
@@ -149,6 +167,14 @@ void WordSimulator::step() {
   }
   for (std::size_t k = 0; k < lev_.seq.size(); ++k)
     values_[lev_.seq[k].out] = next_[k];
+}
+
+void WordSimulator::step() {
+  // The previous step's trailing eval() already settled every net, so the
+  // leading pass is needed only after something changed.
+  if (dirty_) eval();
+  if (count_toggles_) prev_ = values_;
+  clock();
   eval();
   ++cycles_;
 
@@ -156,6 +182,14 @@ void WordSimulator::step() {
     for (NetId n = 0; n < values_.size(); ++n)
       toggles_[n] += std::popcount(values_[n] ^ prev_[n]);
   }
+}
+
+void WordSimulator::step_state() {
+  // Settled nets already hold the cone's values; otherwise refresh the cone.
+  if (dirty_) eval_ops(state_cone_);
+  clock();
+  ++cycles_;
+  dirty_ = true;
 }
 
 void WordSimulator::run(std::size_t n) {

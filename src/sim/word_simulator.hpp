@@ -15,6 +15,13 @@
 // tests/word_sim_test.cpp).  Toggle counters aggregate across lanes (one
 // popcount per net per step), which is exactly the ensemble-average
 // switching activity a power estimate wants.
+//
+// step_state() is the state-only cycle: it evaluates just the next-state
+// cone (the combinational ops in the fan-in of some flip-flop pin, found
+// once by a reverse sweep over the levelized stream) and clocks, leaving
+// every other net stale until the next eval()/step().  Together with the
+// flip-flop accessors it lets a caller fast-forward to checkpoints and then
+// load a different state into each lane (core/verify's segment replay).
 #pragma once
 
 #include <cstdint>
@@ -65,6 +72,11 @@ class WordSimulator {
   void step();
   /// Convenience: step `n` times with current inputs held.
   void run(std::size_t n);
+  /// One clock edge computed from the next-state cone only: flip-flop words
+  /// advance exactly as under step(), while nets outside the cone (outputs
+  /// included) stay stale until the next eval() or step().  Counts a cycle
+  /// but no toggles.
+  void step_state();
   /// Clears all flip-flops to 0 in every lane, restarts cycle and toggle
   /// counting, and re-evaluates (power-on state).
   void power_on_reset();
@@ -85,6 +97,15 @@ class WordSimulator {
 
   std::uint64_t cycles() const { return cycles_; }
 
+  // --- flip-flop state ------------------------------------------------------------
+  /// Flip-flops in cell-index order (Levelization::seq).
+  std::size_t num_flipflops() const { return lev_.seq.size(); }
+  /// All 64 lanes of flip-flop k's Q.
+  std::uint64_t flipflop_word(std::size_t k) const { return values_[lev_.seq[k].out]; }
+  /// Loads flip-flop k's Q in every lane (bit l = lane l); the combinational
+  /// nets are stale until the next eval() or step().
+  void set_flipflop_word(std::size_t k, std::uint64_t lanes);
+
   // --- activity ------------------------------------------------------------------
   /// Starts counting per-net toggles, aggregated across lanes: each step()
   /// adds popcount(changed lanes) to the net's counter, so with identical
@@ -95,16 +116,22 @@ class WordSimulator {
 
  private:
   std::vector<netlist::NetId> collect_output_bus(std::string_view prefix) const;
+  /// The only gate-evaluation switch: runs `ops` in order over all lanes.
+  void eval_ops(std::span<const netlist::FlatOp> ops);
+  /// Captures every flip-flop's next state from the current nets, commits.
+  void clock();
 
   const netlist::Netlist* nl_;
   netlist::Levelization lev_;
+  std::vector<netlist::FlatOp> state_cone_;  // comb ops feeding flip-flop pins
   std::vector<std::uint64_t> values_;   // per net, one lane per bit
   std::vector<std::uint64_t> prev_;     // snapshot for toggle counting
   std::vector<std::uint64_t> next_;     // flip-flop next-state scratch
   std::vector<std::uint64_t> toggles_;  // per net, summed over lanes
   std::uint64_t cycles_ = 0;
   bool count_toggles_ = false;
-  bool dirty_ = true;  // an input changed since the last eval()
+  bool dirty_ = true;  // nets may be stale: an input, a flip-flop or step_state()
+                       // changed something since the last eval()
 };
 
 }  // namespace addm::sim

@@ -3,17 +3,21 @@
 // lane of sim::WordSimulator must be bit-identical to a scalar
 // sim::Simulator driven with that lane's stimulus — outputs and toggle
 // counts alike — both with one stimulus replicated across all lanes and
-// with 64 distinct per-lane streams.  Plus levelizer structure tests and
-// a generator-netlist replay.
+// with 64 distinct per-lane streams.  Plus levelizer structure tests, a
+// generator-netlist replay, and the state-only surface (step_state and the
+// flip-flop accessors) checked against full steps on random netlists and on
+// every registry netlist of the standard suite.
 //
 // PRNGs are seeded, so failures reproduce deterministically.
 #include <gtest/gtest.h>
 
 #include <random>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "core/cntag.hpp"
+#include "core/explorer.hpp"
 #include "netlist/builder.hpp"
 #include "netlist/levelize.hpp"
 #include "seq/workloads.hpp"
@@ -244,6 +248,136 @@ TEST(WordSimulator, ReplaysGeneratorNetlistInEveryLane) {
       EXPECT_EQ(w.hot_index("cs", lane), trace.col_of(a)) << "access " << k;
     }
     w.step();
+  }
+}
+
+/// Flip-flop words of `w`, in Levelization::seq order.
+std::vector<std::uint64_t> flipflop_words(const WordSimulator& w) {
+  std::vector<std::uint64_t> q(w.num_flipflops());
+  for (std::size_t k = 0; k < q.size(); ++k) q[k] = w.flipflop_word(k);
+  return q;
+}
+
+/// The replay recipe of core::verify_candidate: one reset cycle with the
+/// drive inputs low, then reset released and `drive` held.
+void reset_and_drive(WordSimulator& w, const core::Candidate& c) {
+  w.set_all("reset", true);
+  for (const auto& [name, value] : c.drive) {
+    (void)value;
+    w.set_all(name, false);
+  }
+  w.step();
+  w.set_all("reset", false);
+  for (const auto& [name, value] : c.drive) w.set_all(name, value);
+}
+
+TEST(WordSimulator, StepStateMatchesStepOnRandomNetlists) {
+  // Distinct per-lane inputs, changed before some steps and held across
+  // others; after every k-th step_state() the flip-flop words equal those
+  // after k step() calls, and an eval() brings every other net up to date.
+  std::mt19937 rng(0x57a7eu);
+  for (int trial = 0; trial < 20; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    RandomCircuit c = random_circuit(rng, 40 + rng() % 80);
+    WordSimulator full(c.nl);
+    WordSimulator fast(c.nl);
+    ASSERT_EQ(fast.num_flipflops(), c.nl.stats().num_seq);
+    for (int k = 1; k <= 24; ++k) {
+      if (rng() % 3 != 0) {
+        for (NetId in : c.inputs) {
+          const std::uint64_t word = (std::uint64_t{rng()} << 32) | rng();
+          full.set_input(in, word);
+          fast.set_input(in, word);
+        }
+      }
+      full.step();
+      fast.step_state();
+      ASSERT_EQ(flipflop_words(fast), flipflop_words(full)) << "step " << k;
+      EXPECT_EQ(fast.cycles(), full.cycles());
+      if (k % 5 == 0) {
+        // A full step after step_state() starts from the refreshed nets.
+        fast.eval();
+        for (NetId n = 0; n < c.nl.num_nets(); ++n)
+          ASSERT_EQ(fast.word(n), full.word(n)) << "net " << n << " step " << k;
+        full.step();
+        fast.step();
+        for (NetId n = 0; n < c.nl.num_nets(); ++n)
+          ASSERT_EQ(fast.word(n), full.word(n)) << "net " << n << " step " << k;
+      }
+    }
+  }
+}
+
+TEST(WordSimulator, StepStateMatchesStepOnRegistryNetlists) {
+  // Every buildable registry candidate of the standard suite at 8x8 and
+  // 16x16, replayed as core::verify_candidate drives it.
+  const core::ExploreOptions opt;
+  std::size_t netlists = 0;
+  for (const seq::ArrayGeometry g : {seq::ArrayGeometry{8, 8}, seq::ArrayGeometry{16, 16}}) {
+    for (const seq::AddressTrace& trace : seq::standard_suite(g)) {
+      for (const core::GeneratorEntry& e : core::generator_registry()) {
+        if (!e.applicable(trace, opt)) continue;
+        core::BuildResult built = e.build(trace, opt);
+        const core::Candidate* c = std::get_if<core::Candidate>(&built);
+        if (!c) continue;
+        SCOPED_TRACE(trace.name() + " " + e.name);
+        WordSimulator full(c->netlist);
+        WordSimulator fast(c->netlist);
+        reset_and_drive(full, *c);
+        reset_and_drive(fast, *c);
+        for (std::size_t k = 1; k <= trace.length(); ++k) {
+          full.step();
+          fast.step_state();
+          ASSERT_EQ(flipflop_words(fast), flipflop_words(full)) << "step " << k;
+        }
+        ++netlists;
+      }
+    }
+  }
+  EXPECT_GT(netlists, 100u);
+}
+
+TEST(WordSimulator, PerLaneFlipFlopStatesMatchReplicatedReplay) {
+  // Lane l is loaded with the state a replicated replay reaches after l
+  // cycles; one eval() must then put every net of lane l where that replay
+  // had it.
+  const auto trace = seq::block_raster({8, 8}, 4, 4);
+  core::Candidate c;
+  c.netlist = core::elaborate_cntag(trace, {});
+  std::mt19937 rng(0x1a4e5u);
+  RandomCircuit rc = random_circuit(rng, 80);
+
+  for (const Netlist* nl : {&c.netlist, &rc.nl}) {
+    WordSimulator ref(*nl);
+    if (nl == &c.netlist) {
+      reset_and_drive(ref, c);
+    } else {
+      for (NetId in : rc.inputs) ref.set_input(in, rng() & 1 ? WordSimulator::kAllLanes : 0);
+      ref.eval();
+    }
+    std::vector<std::vector<std::uint64_t>> states, nets;
+    for (std::size_t l = 0; l < WordSimulator::kLanes; ++l) {
+      ref.eval();
+      states.push_back(flipflop_words(ref));
+      std::vector<std::uint64_t> all(nl->num_nets());
+      for (NetId n = 0; n < all.size(); ++n) all[n] = ref.word(n);
+      nets.push_back(std::move(all));
+      ref.step();
+    }
+
+    WordSimulator w(*nl);
+    for (NetId in : nl->inputs()) w.set_input(in, ref.word(in));
+    for (std::size_t k = 0; k < w.num_flipflops(); ++k) {
+      std::uint64_t word = 0;
+      for (std::size_t l = 0; l < WordSimulator::kLanes; ++l)
+        word |= (states[l][k] & 1) << l;
+      w.set_flipflop_word(k, word);
+      EXPECT_EQ(w.flipflop_word(k), word);
+    }
+    w.eval();
+    for (std::size_t l = 0; l < WordSimulator::kLanes; ++l)
+      for (NetId n = 0; n < nl->num_nets(); ++n)
+        ASSERT_EQ(w.value(n, l), (nets[l][n] & 1) != 0) << "net " << n << " lane " << l;
   }
 }
 
