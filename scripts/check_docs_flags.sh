@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Docs/CLI drift check: fails if README.md or docs/*.md reference a
-# `--flag` that none of the addm tools' --help output prints.  Keeps the
-# CLI reference tables honest — a renamed or removed flag must be fixed in
-# the docs in the same commit.
+# Docs/CLI drift check, both directions: fails if README.md or docs/*.md
+# reference a `--flag` that none of the addm tools' --help output prints,
+# or if addm_explore --help or addm_client --help prints a flag README.md
+# never mentions.  Keeps the CLI reference tables honest — a renamed, added
+# or removed flag must be fixed in the docs in the same commit.
 #
 # Usage: scripts/check_docs_flags.sh BUILD_DIR
 set -euo pipefail
@@ -32,7 +33,16 @@ for flag in $doc_flags; do
   status=1
 done
 
+readme_flags=$(grep -oE -- '--[a-z][a-z0-9-]*' "$repo/README.md" | sort -u)
+for tool in addm_explore addm_client; do
+  for flag in $("$bindir/$tool" --help 2>&1 | grep -oE -- '--[a-z][a-z0-9-]*' | sort -u); do
+    if grep -qxF -- "$flag" <<<"$readme_flags"; then continue; fi
+    echo "error: $tool --help prints $flag but README.md never mentions it" >&2
+    status=1
+  done
+done
+
 if [ "$status" -eq 0 ]; then
-  echo "docs flags OK: every documented flag appears in a tool's --help"
+  echo "docs flags OK: documented flags and the tools' --help agree"
 fi
 exit $status

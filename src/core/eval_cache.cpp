@@ -15,12 +15,14 @@
 #include <string_view>
 
 #include "core/fingerprint.hpp"
+#include "seq/trace.hpp"
 
 namespace addm::core {
 
 namespace {
 
 namespace fs = std::filesystem;
+using seq::parse_u64;
 
 constexpr std::string_view kIndexMagic = "addm-eval-cache";
 constexpr std::string_view kEntryMagic = "addm-eval-entry";
@@ -37,19 +39,6 @@ bool parse_hex64(std::string_view s, std::uint64_t& out) {
       v |= static_cast<std::uint64_t>(c - 'a' + 10);
     else
       return false;
-  }
-  out = v;
-  return true;
-}
-
-bool parse_u64(std::string_view s, std::uint64_t& out) {
-  if (s.empty() || s.size() > 20) return false;
-  std::uint64_t v = 0;
-  for (char c : s) {
-    if (c < '0' || c > '9') return false;
-    const std::uint64_t d = static_cast<std::uint64_t>(c - '0');
-    if (v > (UINT64_MAX - d) / 10) return false;
-    v = v * 10 + d;
   }
   out = v;
   return true;

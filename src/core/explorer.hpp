@@ -46,9 +46,10 @@ struct DesignPoint {
   GeneratorMetrics metrics;  ///< zero-initialized when infeasible
 };
 
-/// Knobs that affect exploration.  Every result-affecting field MUST be
-/// covered by options_fingerprint (core/fingerprint.hpp) — the persistent
-/// cache relies on that hash as its only invalidation mechanism.
+/// Knobs that affect exploration.  Every user-settable field is one entry of
+/// the exploration-option table (core/explore_flags.hpp), which also hashes
+/// it into options_fingerprint — the persistent cache's only invalidation
+/// mechanism.
 struct ExploreOptions {
   tech::Library library = tech::Library::generic_180nm();
   int max_fanout = tech::kDefaultMaxFanout;

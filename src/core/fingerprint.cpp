@@ -1,7 +1,6 @@
 #include "core/fingerprint.hpp"
 
-#include <algorithm>
-
+#include "core/explore_flags.hpp"
 #include "netlist/cell.hpp"
 #include "tech/library.hpp"
 
@@ -19,45 +18,7 @@ std::uint64_t trace_fingerprint(const seq::AddressTrace& trace) {
 std::uint64_t options_fingerprint(const ExploreOptions& opt) {
   Fnv1a64 h;
   h.u64(kOptionsFingerprintSeed);
-  h.u64(static_cast<std::uint64_t>(opt.max_fanout));
-  h.u64(opt.max_fsm_states);
-  h.u64(opt.include_fsm ? 1 : 0);
-  // An archs subset changes which points exist, so it is hashed — in
-  // canonical form (registry-order intersection, deduplicated, and a
-  // filter selecting the whole registry collapses to no filter), making
-  // every equal-output spelling share one key.  The no-filter form hashes
-  // nothing, which keeps default-option fingerprints identical to those of
-  // releases that predate the field.
-  if (!opt.archs.empty()) {
-    std::vector<std::string> selected;
-    const std::vector<std::string> names = generator_names();
-    for (const std::string& name : names) {
-      if (std::find(opt.archs.begin(), opt.archs.end(), name) != opt.archs.end())
-        selected.push_back(name);
-    }
-    if (selected.size() != names.size()) {
-      h.str("archs");
-      for (const std::string& name : selected) h.str(name);
-    }
-  }
-  // verify_front annotates Pareto-point notes, so it is output-affecting —
-  // but it is hashed only when enabled, so default-options fingerprints
-  // (and every cache directory written before the flag existed) stay valid.
-  if (opt.verify_front) h.str("verify_front");
-  // The minimizer selection changes FSM/CntAG covers and therefore metrics.
-  // Hashed only when non-default (same pattern as verify_front), and the
-  // Auto threshold only when Auto is selected — every equal-output spelling
-  // of the default (Isop ignores the threshold) shares the pinned key.
-  if (opt.minimize.algo != logic::MinimizerAlgo::Isop) {
-    h.str("minimizer");
-    h.str(logic::minimizer_name(opt.minimize.algo));
-    if (opt.minimize.algo == logic::MinimizerAlgo::Auto)
-      h.u64(static_cast<std::uint64_t>(opt.minimize.heuristic_min_vars));
-  }
-  // Periodicity compression evaluates candidates on one period and
-  // annotates notes, so it is output-affecting — hashed only when enabled
-  // (verify_front pattern) to keep default-options fingerprints pinned.
-  if (opt.compress_periodic) h.str("compress_periodic");
+  for (const ExploreFlag& f : explore_flags()) f.hash(h, opt);
   for (int t = 0; t < static_cast<int>(netlist::kNumCellTypes); ++t) {
     const tech::CellParams& p = opt.library.params(static_cast<netlist::CellType>(t));
     h.f64(p.area);

@@ -12,16 +12,14 @@
 // to key persistent caches, label report rows, and compare across processes
 // and hosts.
 //
-// Invalidation rule: whenever ExploreOptions grows a result-affecting field,
-// it MUST be added to options_fingerprint, and whenever the *semantics* of
-// exploration change without an options change (new candidate architecture,
-// metrics fix), kOptionsFingerprintSeed MUST be bumped — either change makes
-// every previously persisted cache entry unreachable rather than stale.
-// The converse also holds: scheduling-only settings (BatchOptions::threads)
-// MUST stay out of the hash, and new result-affecting fields must hash
-// nothing at their default value when the default reproduces the previous
-// behavior (ExploreOptions::archs does), so existing caches stay warm
-// across upgrades.
+// Invalidation rule: a result-affecting exploration option is one entry of
+// the exploration-option table (core/explore_flags.hpp), whose `hash` feeds
+// nothing at the option's default value, so existing caches stay warm across
+// upgrades.  Whenever the *semantics* of exploration change without an
+// options change (new candidate architecture, metrics fix),
+// kOptionsFingerprintSeed MUST be bumped, which makes every previously
+// persisted cache entry unreachable rather than stale.  Scheduling-only
+// settings (BatchOptions::threads) MUST stay out of the hash.
 #pragma once
 
 #include <cstdint>
@@ -87,11 +85,10 @@ inline std::string hex64(std::uint64_t v) {
 /// Deterministic across runs, processes, and hosts of equal endianness.
 std::uint64_t trace_fingerprint(const seq::AddressTrace& trace);
 
-/// Hash of every ExploreOptions field that affects exploration results,
-/// including the full technology library (per-cell area/timing parameters)
-/// and kOptionsFingerprintSeed.  This is the persistent cache's sole
-/// invalidation mechanism: equal fingerprints assert byte-identical
-/// exploration output.
+/// Hash of kOptionsFingerprintSeed, each exploration-option table entry in
+/// table order, and the full technology library (per-cell area/timing
+/// parameters).  This is the persistent cache's sole invalidation
+/// mechanism: equal fingerprints assert byte-identical exploration output.
 std::uint64_t options_fingerprint(const ExploreOptions& opt);
 
 }  // namespace addm::core

@@ -29,4 +29,28 @@ std::vector<std::uint32_t> AddressTrace::cols() const {
   return c;
 }
 
+bool parse_u64(std::string_view s, std::uint64_t& out) {
+  if (s.empty()) return false;
+  std::uint64_t v = 0;
+  for (char c : s) {
+    if (c < '0' || c > '9') return false;
+    const auto d = static_cast<std::uint64_t>(c - '0');
+    if (v > (UINT64_MAX - d) / 10) return false;
+    v = v * 10 + d;
+  }
+  out = v;
+  return true;
+}
+
+bool parse_geometry(std::string_view s, ArrayGeometry& g) {
+  const std::size_t x = s.find('x');
+  if (x == std::string_view::npos) return false;
+  std::uint64_t w = 0, h = 0;
+  if (!parse_u64(s.substr(0, x), w) || !parse_u64(s.substr(x + 1), h)) return false;
+  if (w == 0 || h == 0) return false;
+  g.width = static_cast<std::size_t>(w);
+  g.height = static_cast<std::size_t>(h);
+  return true;
+}
+
 }  // namespace addm::seq

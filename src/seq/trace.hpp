@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace addm::seq {
@@ -18,6 +19,13 @@ struct ArrayGeometry {
   std::size_t size() const { return width * height; }
   bool operator==(const ArrayGeometry&) const = default;
 };
+
+/// Strict non-negative decimal: digits only, no sign or whitespace; false
+/// on overflow or any other malformed input.
+bool parse_u64(std::string_view s, std::uint64_t& out);
+
+/// "WxH" with positive decimal dimensions, e.g. "8x8".
+bool parse_geometry(std::string_view s, ArrayGeometry& g);
 
 /// An ordered sequence of linear addresses into a fixed geometry.
 class AddressTrace {

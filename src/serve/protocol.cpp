@@ -5,36 +5,11 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "core/explore_flags.hpp"
+
 namespace addm::serve {
 
 namespace {
-
-// Strict non-negative decimal (no sign, no suffix, no leading junk).
-bool parse_u64(std::string_view s, std::uint64_t& out) {
-  if (s.empty() || s.size() > 20) return false;
-  std::uint64_t v = 0;
-  for (char c : s) {
-    if (c < '0' || c > '9') return false;
-    const std::uint64_t d = static_cast<std::uint64_t>(c - '0');
-    if (v > (UINT64_MAX - d) / 10) return false;
-    v = v * 10 + d;
-  }
-  out = v;
-  return true;
-}
-
-// "WxH" with positive dimensions — the CLI's --base grammar.
-bool parse_geometry_sv(std::string_view s, seq::ArrayGeometry& g) {
-  const std::size_t x = s.find('x');
-  if (x == std::string_view::npos) return false;
-  std::uint64_t w = 0, h = 0;
-  if (!parse_u64(s.substr(0, x), w) || !parse_u64(s.substr(x + 1), h))
-    return false;
-  if (w == 0 || h == 0) return false;
-  g.width = static_cast<std::size_t>(w);
-  g.height = static_cast<std::size_t>(h);
-  return true;
-}
 
 void put_u32le(std::string& out, std::uint32_t v) {
   out.push_back(static_cast<char>(v & 0xff));
@@ -130,108 +105,11 @@ std::string encode_explore_request(const ExploreRequest& req) {
   return out;
 }
 
-bool apply_explore_option(core::ExploreOptions& opt, std::string_view key,
-                          std::string_view value, std::string& error) {
-  auto flag = [&](bool& ok) {
-    ok = value.empty();
-    if (!ok) error = "option '" + std::string(key) + "' takes no value";
-    return ok;
-  };
-  auto need_value = [&]() {
-    if (!value.empty()) return true;
-    error = "option '" + std::string(key) + "' requires a value";
-    return false;
-  };
-  if (key == "no-fsm") {
-    bool ok;
-    if (!flag(ok)) return false;
-    opt.include_fsm = false;
-    return true;
-  }
-  if (key == "verify-front") {
-    bool ok;
-    if (!flag(ok)) return false;
-    opt.verify_front = true;
-    return true;
-  }
-  if (key == "compress-periodic") {
-    bool ok;
-    if (!flag(ok)) return false;
-    opt.compress_periodic = true;
-    return true;
-  }
-  if (key == "max-fsm-states") {
-    std::uint64_t v = 0;
-    if (!need_value() || !parse_u64(value, v)) {
-      if (error.empty()) error = "max-fsm-states expects a number";
-      return false;
-    }
-    opt.max_fsm_states = static_cast<std::size_t>(v);
-    return true;
-  }
-  if (key == "max-fanout") {
-    std::uint64_t v = 0;
-    if (!need_value() || !parse_u64(value, v) || v == 0 || v > INT32_MAX) {
-      if (error.empty()) error = "max-fanout expects a positive number";
-      return false;
-    }
-    opt.max_fanout = static_cast<int>(v);
-    return true;
-  }
-  if (key == "espresso-threshold") {
-    std::uint64_t v = 0;
-    if (!need_value() || !parse_u64(value, v) || v == 0 || v > 24) {
-      if (error.empty()) error = "espresso-threshold expects 1..24";
-      return false;
-    }
-    opt.minimize.heuristic_min_vars = static_cast<int>(v);
-    return true;
-  }
-  if (key == "minimizer") {
-    if (!need_value()) return false;
-    using logic::MinimizerAlgo;
-    if (value == "isop") opt.minimize.algo = MinimizerAlgo::Isop;
-    else if (value == "exact") opt.minimize.algo = MinimizerAlgo::Exact;
-    else if (value == "espresso") opt.minimize.algo = MinimizerAlgo::Espresso;
-    else if (value == "auto") opt.minimize.algo = MinimizerAlgo::Auto;
-    else {
-      error = "minimizer must be isop, exact, espresso or auto";
-      return false;
-    }
-    return true;
-  }
-  if (key == "archs") {
-    if (!need_value()) return false;
-    const std::vector<std::string> known = core::generator_names();
-    std::size_t added = 0;
-    std::size_t pos = 0;
-    while (pos <= value.size()) {
-      const std::size_t comma = std::min(value.find(',', pos), value.size());
-      const std::string name(value.substr(pos, comma - pos));
-      pos = comma + 1;
-      if (name.empty()) continue;
-      if (std::find(known.begin(), known.end(), name) == known.end()) {
-        error = "archs: unknown architecture '" + name + "'";
-        return false;
-      }
-      opt.archs.push_back(name);
-      ++added;
-    }
-    if (added == 0) {
-      error = "archs expects a comma-separated list of names";
-      return false;
-    }
-    return true;
-  }
-  error = "unknown option '" + std::string(key) + "'";
-  return false;
-}
-
 bool build_explore_options(const ExploreRequest& req, core::ExploreOptions& opt,
                            std::string& error) {
   opt = core::ExploreOptions{};
   for (const auto& [key, value] : req.options)
-    if (!apply_explore_option(opt, key, value, error)) return false;
+    if (!core::apply_explore_option(opt, key, value, error)) return false;
   return true;
 }
 
@@ -275,11 +153,11 @@ bool parse_explore_request(std::string_view payload, ExploreRequest& out,
         return false;
       }
       std::uint64_t scales = 0;
-      if (!parse_u64(rest.substr(0, sp2), scales) || scales == 0) {
+      if (!seq::parse_u64(rest.substr(0, sp2), scales) || scales == 0) {
         error = "suite expects a positive scale count";
         return false;
       }
-      if (!parse_geometry_sv(rest.substr(sp2 + 1), out.suite_base)) {
+      if (!seq::parse_geometry(rest.substr(sp2 + 1), out.suite_base)) {
         error = "suite expects a WxH base geometry (e.g. 8x8)";
         return false;
       }
@@ -297,7 +175,7 @@ bool parse_explore_request(std::string_view payload, ExploreRequest& out,
       // Validate eagerly against a scratch options object so a bad request
       // fails at parse time, before any trace I/O.
       core::ExploreOptions scratch;
-      if (!apply_explore_option(scratch, key, value, error)) return false;
+      if (!core::apply_explore_option(scratch, key, value, error)) return false;
       out.options.emplace_back(key, value);
     } else if (word == "trace") {
       const std::size_t sp2 = std::min(rest.find(' '), rest.size());
@@ -316,7 +194,7 @@ bool parse_explore_request(std::string_view payload, ExploreRequest& out,
       } else if (kind == "inline") {
         const std::size_t sp3 = std::min(args.find(' '), args.size());
         std::uint64_t nbytes = 0;
-        if (!parse_u64(args.substr(0, sp3), nbytes) ||
+        if (!seq::parse_u64(args.substr(0, sp3), nbytes) ||
             nbytes > kMaxFramePayload) {
           error = "trace inline expects NBYTES NAME";
           return false;
@@ -381,7 +259,7 @@ bool parse_done(std::string_view payload, ExploreSummary& out) {
     const std::size_t sp = line.find(' ');
     if (sp == std::string_view::npos) return false;
     std::uint64_t v = 0;
-    if (!parse_u64(line.substr(sp + 1), v)) return false;
+    if (!seq::parse_u64(line.substr(sp + 1), v)) return false;
     const std::string_view key = line.substr(0, sp);
     if (key == "traces") out.traces = v;
     else if (key == "evaluations") out.evaluations = v;
@@ -698,7 +576,7 @@ bool json_option(const std::string& key, const JsonValue& v,
       return false;
   }
   core::ExploreOptions scratch;
-  if (!apply_explore_option(scratch, key, value, error)) return false;
+  if (!core::apply_explore_option(scratch, key, value, error)) return false;
   req.options.emplace_back(key, value);
   return true;
 }
@@ -762,7 +640,7 @@ bool parse_json_request(std::string_view line, JsonRequest& out,
     req.suite_scales = static_cast<std::size_t>(n);
     if (const JsonValue* base = suite->find("base")) {
       if (base->type != JsonValue::Type::kString ||
-          !parse_geometry_sv(base->string, req.suite_base)) {
+          !seq::parse_geometry(base->string, req.suite_base)) {
         error = "suite.base must be \"WxH\" (e.g. \"8x8\")";
         return false;
       }

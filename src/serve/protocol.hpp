@@ -111,9 +111,8 @@ struct ExploreRequest {
   std::size_t suite_scales = 0;  ///< 0 = no suite traces
   seq::ArrayGeometry suite_base{8, 8};
   /// Raw option key/values in request order, validated but not yet applied
-  /// (apply with build_explore_options).  Keys mirror addm_explore flags:
-  /// archs, no-fsm, max-fsm-states, max-fanout, minimizer,
-  /// espresso-threshold, verify-front, compress-periodic.
+  /// (apply with build_explore_options).  Keys are the names of the
+  /// exploration-option table (core/explore_flags.hpp).
   std::vector<std::pair<std::string, std::string>> options;
   /// Suite traces come first, then these, in order — same list-construction
   /// rule as the CLI.
@@ -136,13 +135,8 @@ std::string encode_explore_request(const ExploreRequest& req);
 bool parse_explore_request(std::string_view payload, ExploreRequest& out,
                            std::string& error);
 
-/// Applies one validated option key/value onto `opt`, mirroring the
-/// corresponding addm_explore flag (same validation limits, same rejection
-/// cases).  Returns false with `error` set on an unknown key or bad value.
-bool apply_explore_option(core::ExploreOptions& opt, std::string_view key,
-                          std::string_view value, std::string& error);
-
-/// Applies every option of `req` onto a default-constructed ExploreOptions.
+/// Applies every option of `req` onto a default-constructed ExploreOptions
+/// through core::apply_explore_option.
 /// The result of a request with no options is bit-for-bit the CLI default —
 /// the pinned-fingerprint property the serve_smoke test enforces.
 bool build_explore_options(const ExploreRequest& req, core::ExploreOptions& opt,

@@ -23,21 +23,6 @@ core::BatchOptions batch_options(const ServiceOptions& s) {
   return b;
 }
 
-// Strict non-negative decimal, mirroring the protocol's parser (the admin
-// grammar is part of the wire protocol too).
-bool parse_u64(std::string_view s, std::uint64_t& out) {
-  if (s.empty() || s.size() > 20) return false;
-  std::uint64_t v = 0;
-  for (char c : s) {
-    if (c < '0' || c > '9') return false;
-    const std::uint64_t d = static_cast<std::uint64_t>(c - '0');
-    if (v > (UINT64_MAX - d) / 10) return false;
-    v = v * 10 + d;
-  }
-  out = v;
-  return true;
-}
-
 std::string maintenance_summary(const core::EvalCacheDir::MaintenanceStats& m) {
   std::string out;
   out += std::to_string(m.kept) + " kept (" + std::to_string(m.bytes_kept) +
@@ -179,8 +164,8 @@ ExploreService::AdminOutcome ExploreService::admin(std::string_view command) {
     if (verb == "prune") {
       const std::size_t sp2 = args.find(' ');
       std::uint64_t e = 0, b = 0;
-      if (sp2 == std::string_view::npos || !parse_u64(args.substr(0, sp2), e) ||
-          !parse_u64(args.substr(sp2 + 1), b) || (e == 0 && b == 0)) {
+      if (sp2 == std::string_view::npos || !seq::parse_u64(args.substr(0, sp2), e) ||
+          !seq::parse_u64(args.substr(sp2 + 1), b) || (e == 0 && b == 0)) {
         out.error.code = "bad-request";
         out.error.message =
             "prune expects MAX_ENTRIES MAX_BYTES (0 = unlimited, not both)";

@@ -48,6 +48,32 @@ TEST(Fingerprint, PinnedValuesForCacheCompatibility) {
   EXPECT_EQ(trace_fingerprint(seq::incremental({8, 8})), 0x0484d9da654efdc5ull);
 }
 
+TEST(Fingerprint, PinnedNonDefaultValuesForCacheCompatibility) {
+  // One non-default value per exploration option.  The default pin above
+  // cannot see a reordering of the per-option bytes; these can, so a change
+  // to how options hash cannot silently orphan non-default cache
+  // directories.
+  auto with = [](auto set) {
+    ExploreOptions o;
+    set(o);
+    return options_fingerprint(o);
+  };
+  EXPECT_EQ(with([](ExploreOptions& o) { o.max_fanout = 5; }), 0xb370d63a17491dc5ull);
+  EXPECT_EQ(with([](ExploreOptions& o) { o.max_fsm_states = 77; }), 0x58baaada666d680dull);
+  EXPECT_EQ(with([](ExploreOptions& o) { o.include_fsm = false; }), 0x2057e7b02822331dull);
+  EXPECT_EQ(with([](ExploreOptions& o) { o.archs = {"SRAG", "CntAG-flat"}; }),
+            0xf89e13d5edec2f46ull);
+  EXPECT_EQ(with([](ExploreOptions& o) { o.verify_front = true; }), 0xd2c6604bc2782ae1ull);
+  EXPECT_EQ(with([](ExploreOptions& o) { o.minimize.algo = logic::MinimizerAlgo::Espresso; }),
+            0x54f6e5d11ac258afull);
+  EXPECT_EQ(with([](ExploreOptions& o) {
+              o.minimize.algo = logic::MinimizerAlgo::Auto;
+              o.minimize.heuristic_min_vars = 7;
+            }),
+            0xcbee6cf1d92f24c3ull);
+  EXPECT_EQ(with([](ExploreOptions& o) { o.compress_periodic = true; }), 0xa407e779f54fd4f5ull);
+}
+
 TEST(Fingerprint, ArchsSubsetsGetDistinctCanonicalKeys) {
   const ExploreOptions base;
   const std::uint64_t full = options_fingerprint(base);

@@ -6,9 +6,13 @@
 // prefix, or malformed, without crashing, hanging, or over-reading.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
+#include <tuple>
+#include <vector>
 
+#include "core/explore_flags.hpp"
 #include "core/fingerprint.hpp"
 #include "serve/protocol.hpp"
 
@@ -238,30 +242,153 @@ TEST(ServeOptions, DefaultRequestYieldsDefaultOptions) {
             core::options_fingerprint(core::ExploreOptions{}));
 }
 
+// Outcome of one option spelling: the fingerprint it reaches, or the error
+// that rejected it.
+struct Spelled {
+  bool ok = false;
+  std::uint64_t fingerprint = 0;
+  std::string error;
+};
+
+// The command-line spelling as far as the table goes: the argument `--KEY`
+// selects the entry and the next argument is its value.  The tools' argv
+// loops around this call are driven by serve_smoke.sh.
+Spelled via_table(const std::string& key, const std::string& value) {
+  const std::string arg = "--" + key;
+  const core::ExploreFlag* f = core::explore_flag_arg(arg);
+  Spelled s;
+  core::ExploreOptions opt;
+  s.ok = core::apply_explore_option(opt, f ? f->name : std::string_view(arg).substr(2),
+                                    value, s.error);
+  if (s.ok) s.fingerprint = core::options_fingerprint(opt);
+  return s;
+}
+
+// A wire spelling: the binary `option` directive or the JSON `options`
+// member, through its request codec.
+Spelled via_wire(bool json, const std::string& key, const std::string& value) {
+  ExploreRequest req;
+  req.suite_scales = 1;
+  req.options.emplace_back(key, value);
+  JsonRequest back;
+  Spelled s;
+  core::ExploreOptions opt;
+  s.ok = (json ? parse_json_request(json_explore_request(req), back, s.error)
+               : parse_explore_request(encode_explore_request(req), back.explore,
+                                       s.error)) &&
+         build_explore_options(back.explore, opt, s.error);
+  if (s.ok) s.fingerprint = core::options_fingerprint(opt);
+  return s;
+}
+
 TEST(ServeOptions, AppliesEveryKey) {
+  // Every table entry must reach the same options through all three
+  // spellings, and every rejected value must be rejected with one message.
+  // The shared values are tried against every entry, so a new entry is
+  // covered as long as one of them is valid for it and one is out of range.
+  const std::vector<std::string> values = {
+      "2", "7", "24", "auto", "SRAG,CntAG-flat", "0", "1", "25",
+      "4294967298", "18446744073709551616", "magic", "SRAG,NoSuch", ",", "-3"};
+  // Each entry's range edges, with the verdict they must get.
+  const std::vector<std::tuple<std::string, std::string, bool>> pinned = {
+      {"max-fanout", "2", true},          {"max-fanout", "2147483647", true},
+      {"max-fanout", "0", false},         {"max-fanout", "1", false},
+      {"max-fanout", "2147483648", false}, {"max-fanout", "4294967298", false},
+      {"max-fsm-states", "0", true},      {"max-fsm-states", "18446744073709551615", true},
+      {"max-fsm-states", "18446744073709551616", false}, {"max-fsm-states", "-3", false},
+      {"no-fsm", "", true},               {"no-fsm", "x", false},
+      {"archs", "SRAG,CntAG-flat", true}, {"archs", "SRAG,NoSuch", false},
+      {"archs", ",", false},              {"verify-front", "", true},
+      {"verify-front", "1", false},       {"minimizer", "auto", true},
+      {"minimizer", "magic", false},      {"minimizer", "", false},
+      {"espresso-threshold", "1", true},  {"espresso-threshold", "24", true},
+      {"espresso-threshold", "0", false}, {"espresso-threshold", "25", false},
+      {"compress-periodic", "", true},    {"compress-periodic", "x", false}};
+  std::size_t pinned_seen = 0;
+  for (const core::ExploreFlag& f : core::explore_flags()) {
+    const std::string key(f.name);
+    std::vector<std::string> samples = f.metavar.empty() ? std::vector<std::string>{""} : values;
+    for (const auto& [k, v, ok] : pinned)
+      if (k == key && std::find(samples.begin(), samples.end(), v) == samples.end())
+        samples.push_back(v);
+    std::size_t accepted = 0, rejected = 0;
+    for (const std::string& v : samples) {
+      const Spelled argv = via_table(key, v);
+      const Spelled binary = via_wire(false, key, v);
+      const Spelled json = via_wire(true, key, v);
+      SCOPED_TRACE("--" + key + " '" + v + "'");
+      for (const auto& [k, pv, ok] : pinned) {
+        if (k == key && pv == v) {
+          EXPECT_EQ(argv.ok, ok) << argv.error;
+          ++pinned_seen;
+        }
+      }
+      ASSERT_EQ(argv.ok, binary.ok) << binary.error;
+      ASSERT_EQ(argv.ok, json.ok) << json.error;
+      if (argv.ok) {
+        ++accepted;
+        EXPECT_EQ(argv.fingerprint, binary.fingerprint);
+        EXPECT_EQ(argv.fingerprint, json.fingerprint);
+      } else {
+        ++rejected;
+        // Key first, so the CLI's "--" prefix names the flag; only the
+        // table's arity errors, which the tools never reach, differ.
+        if (f.metavar.empty() == v.empty())
+          EXPECT_EQ(argv.error.rfind(key, 0), 0u) << argv.error;
+        EXPECT_EQ(argv.error, binary.error);
+        EXPECT_EQ(argv.error, json.error);
+      }
+    }
+    EXPECT_GT(accepted, 0u) << key << ": no sample value is valid";
+    EXPECT_GT(rejected, 0u) << key << ": no sample value is rejected";
+  }
+  // Every pinned row names a table entry.
+  EXPECT_EQ(pinned_seen, pinned.size());
+  const Spelled argv = via_table("threads", "4");
+  EXPECT_FALSE(argv.ok);
+  EXPECT_EQ(argv.error, "unknown option 'threads'");
+  EXPECT_EQ(via_wire(false, "threads", "4").error, argv.error);
+  EXPECT_EQ(via_wire(true, "threads", "4").error, argv.error);
+}
+
+TEST(ServeOptions, TableSpellingsSetTheirFields) {
   core::ExploreOptions opt;
   std::string error;
-  EXPECT_TRUE(apply_explore_option(opt, "no-fsm", "", error));
+  auto apply = [&](const char* key, const char* value) {
+    return core::apply_explore_option(opt, key, value, error);
+  };
+  EXPECT_TRUE(apply("no-fsm", ""));
   EXPECT_FALSE(opt.include_fsm);
-  EXPECT_TRUE(apply_explore_option(opt, "verify-front", "", error));
+  EXPECT_TRUE(apply("verify-front", ""));
   EXPECT_TRUE(opt.verify_front);
-  EXPECT_TRUE(apply_explore_option(opt, "compress-periodic", "", error));
+  EXPECT_TRUE(apply("compress-periodic", ""));
   EXPECT_TRUE(opt.compress_periodic);
-  EXPECT_TRUE(apply_explore_option(opt, "max-fsm-states", "77", error));
+  EXPECT_TRUE(apply("max-fsm-states", "77"));
   EXPECT_EQ(opt.max_fsm_states, 77u);
-  EXPECT_TRUE(apply_explore_option(opt, "max-fanout", "5", error));
+  EXPECT_TRUE(apply("max-fanout", "5"));
   EXPECT_EQ(opt.max_fanout, 5);
-  EXPECT_TRUE(apply_explore_option(opt, "espresso-threshold", "9", error));
+  EXPECT_TRUE(apply("espresso-threshold", "9"));
   EXPECT_EQ(opt.minimize.heuristic_min_vars, 9);
-  EXPECT_TRUE(apply_explore_option(opt, "minimizer", "espresso", error));
+  EXPECT_TRUE(apply("minimizer", "espresso"));
   EXPECT_EQ(opt.minimize.algo, logic::MinimizerAlgo::Espresso);
-  EXPECT_TRUE(apply_explore_option(opt, "archs", "SRAG,CntAG-flat", error));
+  EXPECT_TRUE(apply("archs", "SRAG,CntAG-flat"));
   ASSERT_EQ(opt.archs.size(), 2u);
 
-  EXPECT_FALSE(apply_explore_option(opt, "max-fanout", "0", error));
-  EXPECT_FALSE(apply_explore_option(opt, "espresso-threshold", "25", error));
-  EXPECT_FALSE(apply_explore_option(opt, "minimizer", "magic", error));
-  EXPECT_FALSE(apply_explore_option(opt, "threads", "4", error));
+  // tech::insert_buffers needs a fanout of at least 2, and the value must
+  // fit an int rather than wrap.
+  EXPECT_FALSE(apply("max-fanout", "1"));
+  EXPECT_FALSE(apply("max-fanout", "4294967298"));
+  EXPECT_TRUE(apply("max-fanout", "2147483647"));
+  EXPECT_FALSE(apply("max-fanout", "2147483648"));
+  EXPECT_FALSE(apply("no-fsm", "x"));
+  EXPECT_EQ(error, "option 'no-fsm' takes no value");
+  EXPECT_FALSE(apply("minimizer", ""));
+  EXPECT_EQ(error, "option 'minimizer' requires a value");
+
+  // The usage text spells out a default that no static_assert can pin.
+  EXPECT_NE(core::explore_flags_usage().find(
+                "(default " + std::to_string(core::ExploreOptions{}.max_fsm_states) + ")"),
+            std::string::npos);
 }
 
 TEST(ServeSummary, DoneRoundTrip) {

@@ -12,7 +12,9 @@
 #   - admin stats/flush/compact work and leave a directory that
 #     addm_cache verify-checksums calls clean,
 #   - SIGTERM drains and exits 0,
-#   - the TCP transport (--listen/--port-file) serves the same bytes.
+#   - the TCP transport (--listen/--port-file) serves the same bytes,
+#   - out-of-range exploration options exit 2 in addm_explore and
+#     addm_client alike.
 set -u
 
 # The script cds into WORK, so resolve the tool paths first.
@@ -52,6 +54,29 @@ wait_for_ping() {
   || fail "offline no-fsm"
 "$EXPLORE" --suite 2 --quiet --format json --out ref_default.json \
   || fail "offline json"
+
+# ---- usage errors exit 2 in both tools, before any daemon is contacted ----
+# Each case runs through both tools' argv loops and must print the same
+# `<argv0>: <message>` line.  insert_buffers needs a fanout of at least 2,
+# and 4294967298 must not wrap to 2 on its way into an int.
+usage_error() {  # MESSAGE ARGS...
+  local want=$1 got rc
+  shift
+  got=$("$EXPLORE" --suite 1 --quiet "$@" 2>&1 >/dev/null)
+  rc=$?
+  [ "$rc" -eq 2 ] || fail "addm_explore $* exit $rc (want 2)"
+  [ "$got" = "$EXPLORE: $want" ] || fail "addm_explore $*: '$got'"
+  got=$("$CLIENT" --socket "$SOCK" --suite 1 --quiet "$@" 2>&1 >/dev/null)
+  rc=$?
+  [ "$rc" -eq 2 ] || fail "addm_client $* exit $rc (want 2)"
+  [ "$got" = "$CLIENT: $want" ] || fail "addm_client $*: '$got'"
+}
+usage_error "--max-fanout expects 2..2147483647" --max-fanout 1
+usage_error "--max-fanout expects 2..2147483647" --max-fanout 4294967298
+usage_error "--espresso-threshold expects 1..24" --no-fsm --espresso-threshold 25
+usage_error "--minimizer must be isop, exact, espresso or auto" --minimizer magic
+usage_error "--max-fanout requires a value" --max-fanout ""
+usage_error "--max-fanout requires a value" --verify-front --max-fanout
 
 # ---- daemon on a unix socket with a shared cache --------------------------
 "$SERVE" --socket "$SOCK" --cache-dir cache --quiet &

@@ -27,11 +27,13 @@
 #include <vector>
 
 #include "cli_util.hpp"
-#include "core/explorer.hpp"
+#include "core/explore_flags.hpp"
 #include "serve/client.hpp"
 
 namespace {
 
+using addm::core::explore_flag_arg;
+using addm::core::ExploreFlag;
 using addm::tools::parse_bytes;
 using addm::tools::parse_size;
 
@@ -56,15 +58,7 @@ void usage(const char* argv0) {
       << "                       see this filesystem path)\n"
       << "\n"
       << "explore options (same semantics as addm_explore):\n"
-      << "  --archs a,b,...      only these candidate architectures\n"
-      << "  --no-fsm             skip symbolic-FSM candidates\n"
-      << "  --max-fsm-states N   FSM feasibility cap\n"
-      << "  --max-fanout N       buffering fanout limit\n"
-      << "  --minimizer M        isop, espresso, exact, or auto\n"
-      << "  --espresso-threshold N\n"
-      << "                       auto-minimizer variable threshold (1..24)\n"
-      << "  --verify-front       gate-level-verify every Pareto point\n"
-      << "  --compress-periodic  evaluate periodic traces on one period\n"
+      << addm::core::explore_flags_usage()
       << "\n"
       << "output:\n"
       << "  --format csv|json    report format (default csv)\n"
@@ -100,15 +94,13 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto need_value = [&]() -> const char* {
-      if (i + 1 >= argc) {
+    // A table option's empty value is as missing as an absent one.
+    auto need_value = [&](bool nonempty = false) -> const char* {
+      if (i + 1 >= argc || (nonempty && !*argv[i + 1])) {
         std::cerr << argv[0] << ": " << arg << " requires a value\n";
         std::exit(2);
       }
       return argv[++i];
-    };
-    auto add_option = [&](const char* key, std::string value = {}) {
-      req.options.emplace_back(key, std::move(value));
     };
     if (arg == "--help" || arg == "-h") {
       usage(argv[0]);
@@ -132,7 +124,7 @@ int main(int argc, char** argv) {
       }
       have_input = true;
     } else if (arg == "--base") {
-      if (!addm::tools::parse_geometry(need_value(), req.suite_base)) {
+      if (!addm::seq::parse_geometry(need_value(), req.suite_base)) {
         std::cerr << argv[0] << ": --base expects WxH (e.g. 8x8)\n";
         return 2;
       }
@@ -161,22 +153,8 @@ int main(int argc, char** argv) {
       t.data = data.str();
       req.traces.push_back(std::move(t));
       have_input = true;
-    } else if (arg == "--archs") {
-      add_option("archs", need_value());
-    } else if (arg == "--no-fsm") {
-      add_option("no-fsm");
-    } else if (arg == "--verify-front") {
-      add_option("verify-front");
-    } else if (arg == "--compress-periodic") {
-      add_option("compress-periodic");
-    } else if (arg == "--max-fsm-states") {
-      add_option("max-fsm-states", need_value());
-    } else if (arg == "--max-fanout") {
-      add_option("max-fanout", need_value());
-    } else if (arg == "--minimizer") {
-      add_option("minimizer", need_value());
-    } else if (arg == "--espresso-threshold") {
-      add_option("espresso-threshold", need_value());
+    } else if (const ExploreFlag* f = explore_flag_arg(arg)) {
+      req.options.emplace_back(f->name, f->metavar.empty() ? "" : need_value(true));
     } else if (arg == "--format") {
       req.format = need_value();
       if (req.format != "csv" && req.format != "json") {
@@ -232,7 +210,7 @@ int main(int argc, char** argv) {
     addm::core::ExploreOptions scratch;
     std::string why;
     if (!addm::serve::build_explore_options(req, scratch, why)) {
-      std::cerr << argv[0] << ": " << why << "\n";
+      std::cerr << argv[0] << ": --" << why << "\n";
       return 2;
     }
   }

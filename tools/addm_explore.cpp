@@ -29,15 +29,17 @@
 
 #include "cli_util.hpp"
 #include "core/batch_explorer.hpp"
-#include "logic/minimize.hpp"
+#include "core/explore_flags.hpp"
 #include "seq/stream_io.hpp"
 #include "seq/trace_io.hpp"
 #include "seq/workloads.hpp"
 
 namespace {
 
+using addm::core::explore_flag_arg;
+using addm::core::ExploreFlag;
+using addm::seq::parse_geometry;
 using addm::tools::parse_bytes;
-using addm::tools::parse_geometry;
 using addm::tools::parse_shard;
 using addm::tools::parse_size;
 using addm::tools::ShardSpec;
@@ -57,32 +59,13 @@ void usage(const char* argv0) {
       << "\n"
       << "exploration:\n"
       << "  --threads N          worker threads, one trace each (default: hardware)\n"
-      << "  --archs a,b,...      only these candidate architectures (registry names)\n"
       << "  --no-cache           disable (trace, options) memoization\n"
       << "  --cache-dir DIR      persistent evaluation cache shared across runs\n"
       << "  --cache-budget B     prune the cache directory to at most B payload\n"
       << "                       bytes after each flush (suffix k/m/g; requires\n"
       << "                       --cache-dir; never affects the report)\n"
       << "  --shard I/N          explore only shard I (0-based) of N\n"
-      << "  --no-fsm             skip symbolic-FSM candidates\n"
-      << "  --max-fsm-states N   FSM feasibility cap (default 1024)\n"
-      << "  --max-fanout N       buffering fanout limit\n"
-      << "  --minimizer M        two-level minimizer for FSM/CntAG synthesis:\n"
-      << "                       isop (default), espresso, exact, or auto\n"
-      << "                       (auto = isop below the espresso threshold)\n"
-      << "  --espresso-threshold N\n"
-      << "                       with --minimizer auto, use espresso for\n"
-      << "                       functions of >= N variables (default "
-      << addm::logic::kDefaultHeuristicMinVars << ")\n"
-      << "  --verify-front       rebuild every Pareto point, buffer it as it was\n"
-      << "                       scored, and replay it in the 64-lane word\n"
-      << "                       simulator; verdicts annotate the report notes\n"
-      << "                       (distinct cache keys)\n"
-      << "  --compress-periodic  factor each trace into k x period and, when it\n"
-      << "                       is exactly whole passes of one period, evaluate\n"
-      << "                       candidates on a single period (notes annotated\n"
-      << "                       \"[periodic kxp]\"; distinct cache keys;\n"
-      << "                       aperiodic traces explore unchanged)\n"
+      << addm::core::explore_flags_usage()
       << "\n"
       << "output:\n"
       << "  --format csv|json    report format (default csv)\n"
@@ -110,8 +93,9 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto need_value = [&]() -> const char* {
-      if (i + 1 >= argc) {
+    // A table option's empty value is as missing as an absent one.
+    auto need_value = [&](bool nonempty = false) -> const char* {
+      if (i + 1 >= argc || (nonempty && !*argv[i + 1])) {
         std::cerr << argv[0] << ": " << arg << " requires a value\n";
         std::exit(2);
       }
@@ -141,28 +125,6 @@ int main(int argc, char** argv) {
                   << addm::tools::kMaxThreads << "\n";
         return 2;
       }
-    } else if (arg == "--archs") {
-      const std::string list = need_value();
-      const std::vector<std::string> known = addm::core::generator_names();
-      std::size_t pos = 0;
-      while (pos <= list.size()) {
-        const std::size_t comma = std::min(list.find(',', pos), list.size());
-        const std::string name = list.substr(pos, comma - pos);
-        pos = comma + 1;
-        if (name.empty()) continue;
-        if (std::find(known.begin(), known.end(), name) == known.end()) {
-          std::cerr << argv[0] << ": --archs: unknown architecture '" << name
-                    << "' (known:";
-          for (const std::string& k : known) std::cerr << " " << k;
-          std::cerr << ")\n";
-          return 2;
-        }
-        opt.explore.archs.push_back(name);
-      }
-      if (opt.explore.archs.empty()) {
-        std::cerr << argv[0] << ": --archs expects a comma-separated list of names\n";
-        return 2;
-      }
     } else if (arg == "--no-cache") {
       opt.memoize = false;
     } else if (arg == "--cache-dir") {
@@ -181,49 +143,16 @@ int main(int argc, char** argv) {
         return 2;
       }
       have_shard = true;
-    } else if (arg == "--no-fsm") {
-      opt.explore.include_fsm = false;
-    } else if (arg == "--verify-front") {
-      opt.explore.verify_front = true;
     } else if (arg == "--stream") {
       stream = true;
-    } else if (arg == "--compress-periodic") {
-      opt.explore.compress_periodic = true;
-    } else if (arg == "--max-fsm-states") {
-      if (!parse_size(need_value(), opt.explore.max_fsm_states)) {
-        std::cerr << argv[0] << ": --max-fsm-states expects a number\n";
+    } else if (const ExploreFlag* f = explore_flag_arg(arg)) {
+      std::string error;
+      if (!addm::core::apply_explore_option(opt.explore, f->name,
+                                            f->metavar.empty() ? "" : need_value(true),
+                                            error)) {
+        std::cerr << argv[0] << ": --" << error << "\n";
         return 2;
       }
-    } else if (arg == "--minimizer") {
-      const std::string name = need_value();
-      using addm::logic::MinimizerAlgo;
-      if (name == "isop") {
-        opt.explore.minimize.algo = MinimizerAlgo::Isop;
-      } else if (name == "exact") {
-        opt.explore.minimize.algo = MinimizerAlgo::Exact;
-      } else if (name == "espresso") {
-        opt.explore.minimize.algo = MinimizerAlgo::Espresso;
-      } else if (name == "auto") {
-        opt.explore.minimize.algo = MinimizerAlgo::Auto;
-      } else {
-        std::cerr << argv[0]
-                  << ": --minimizer must be isop, exact, espresso or auto\n";
-        return 2;
-      }
-    } else if (arg == "--espresso-threshold") {
-      std::size_t v = 0;
-      if (!parse_size(need_value(), v) || v == 0 || v > 24) {
-        std::cerr << argv[0] << ": --espresso-threshold expects 1..24\n";
-        return 2;
-      }
-      opt.explore.minimize.heuristic_min_vars = static_cast<int>(v);
-    } else if (arg == "--max-fanout") {
-      std::size_t v = 0;
-      if (!parse_size(need_value(), v) || v == 0) {
-        std::cerr << argv[0] << ": --max-fanout expects a positive number\n";
-        return 2;
-      }
-      opt.explore.max_fanout = static_cast<int>(v);
     } else if (arg == "--format") {
       format = need_value();
       if (format != "csv" && format != "json") {

@@ -15,7 +15,7 @@
 #include "seq/trace_io.hpp"
 #include "seq/workloads.hpp"
 
-using addm::tools::parse_geometry;
+using addm::seq::parse_geometry;
 using addm::tools::parse_size;
 
 int main(int argc, char** argv) {

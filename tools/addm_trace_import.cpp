@@ -23,7 +23,7 @@
 
 namespace {
 
-using addm::tools::parse_geometry;
+using addm::seq::parse_geometry;
 using addm::tools::parse_size;
 
 void usage(const char* argv0) {

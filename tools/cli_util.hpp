@@ -2,41 +2,24 @@
 #pragma once
 
 #include <cctype>
-#include <cerrno>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "seq/trace.hpp"
 
 namespace addm::tools {
 
-/// Strict non-negative integer: digits only (no sign, no whitespace, no
-/// trailing junk). Returns false on overflow or malformed input.
+/// Strict non-negative integer (seq::parse_u64's grammar) that fits in
+/// std::size_t.
 inline bool parse_size(const char* s, std::size_t& out) {
-  if (!s || !std::isdigit(static_cast<unsigned char>(*s))) return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (errno != 0 || end == s || *end != '\0') return false;
+  std::uint64_t v = 0;
+  if (!seq::parse_u64(s, v) || v > SIZE_MAX) return false;
   out = static_cast<std::size_t>(v);
-  return true;
-}
-
-/// "WxH" with positive dimensions, e.g. "8x8".
-inline bool parse_geometry(const char* s, seq::ArrayGeometry& g) {
-  const char* x = std::strchr(s, 'x');
-  if (!x) return false;
-  const std::string w(s, x);
-  std::size_t wv = 0, hv = 0;
-  if (!parse_size(w.c_str(), wv) || !parse_size(x + 1, hv)) return false;
-  if (wv == 0 || hv == 0) return false;
-  g.width = wv;
-  g.height = hv;
   return true;
 }
 
@@ -48,23 +31,19 @@ inline constexpr std::size_t kMaxThreads = 1024;
 /// e.g. "16384", "16k", "2M".  Returns false on overflow, a bare suffix, or
 /// any other malformed input.
 inline bool parse_bytes(const char* s, std::uint64_t& out) {
-  if (!s || !std::isdigit(static_cast<unsigned char>(*s))) return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (errno != 0 || end == s) return false;
+  std::string_view digits(s);
   std::uint64_t scale = 1;
-  if (*end != '\0') {
-    switch (std::tolower(static_cast<unsigned char>(*end))) {
+  if (!digits.empty()) {
+    switch (std::tolower(static_cast<unsigned char>(digits.back()))) {
       case 'k': scale = 1ull << 10; break;
       case 'm': scale = 1ull << 20; break;
       case 'g': scale = 1ull << 30; break;
-      default: return false;
     }
-    if (end[1] != '\0') return false;
+    if (scale != 1) digits.remove_suffix(1);
   }
-  if (v > UINT64_MAX / scale) return false;
-  out = static_cast<std::uint64_t>(v) * scale;
+  std::uint64_t v = 0;
+  if (!seq::parse_u64(digits, v) || v > UINT64_MAX / scale) return false;
+  out = v * scale;
   return true;
 }
 
