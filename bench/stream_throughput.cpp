@@ -11,13 +11,20 @@
 // the index->address transform minimization is super-linear in the
 // sequence length and the gap widens by another order of magnitude.
 //
-// Emits BENCH_stream.json into the working directory: one record per
-// (trace, path) with seconds, access counts, and the stored footprint,
-// plus the end-to-end speedup per trace.
+// A parse-only row times TraceReader::read_all (the reader behind every
+// trace file) on the million-access file, in MB/s of trace text.
+//
+// Emits BENCH_stream.run.json into the working directory: one record per
+// (trace, path) with seconds, access counts, and the stored footprint, the
+// end-to-end speedup per trace, and the parse row.  BENCH_stream.json in the
+// repository root is the trajectory of such records, each with its label
+// and host.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -91,6 +98,34 @@ Run run_stream_compress(const std::string& file, const std::string& label) {
           std::chrono::duration<double>(t1 - t0).count(), points.size()};
 }
 
+/// Parse-only throughput of `file`: median wall time of 5 read_all calls.
+struct ParseRun {
+  std::string trace;
+  std::size_t bytes = 0;
+  std::size_t accesses = 0;
+  double seconds = 0.0;
+  double mb_per_s() const { return seconds > 0 ? bytes / seconds / 1e6 : 0.0; }
+};
+
+seq::AddressTrace read_all(const std::string& file) {
+  std::ifstream in(file, std::ios::binary);
+  return seq::TraceReader(in).read_all();
+}
+
+ParseRun run_parse(const std::string& file, const std::string& label) {
+  std::vector<double> seconds;
+  std::size_t accesses = 0;
+  for (int r = 0; r < 5; ++r) {
+    const auto t0 = std::chrono::steady_clock::now();
+    accesses = read_all(file).length();
+    seconds.push_back(
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count());
+  }
+  std::sort(seconds.begin(), seconds.end());
+  return {label, static_cast<std::size_t>(std::filesystem::file_size(file)), accesses,
+          seconds[seconds.size() / 2]};
+}
+
 void print_table_and_json() {
   bench::print_header(
       "streaming ingestion + periodicity compression: file -> verified\n"
@@ -114,9 +149,11 @@ void print_table_and_json() {
 
   std::vector<Run> runs;
   std::vector<std::pair<std::string, double>> speedups;
+  ParseRun parse;
   for (const auto& w : workloads) {
     const std::string file = w.label + ".trace";
     seq::write_trace_file(file, periodic_raster(w.geometry, w.repeats, w.label));
+    if (runs.empty()) parse = run_parse(file, w.label);
     const Run full = run_materialize(file, w.label);
     const Run comp = run_stream_compress(file, w.label);
     std::remove(file.c_str());
@@ -127,11 +164,13 @@ void print_table_and_json() {
     runs.push_back(comp);
     speedups.emplace_back(w.label, speedup);
   }
-  std::printf("\n");
+  std::printf("\nparse only (read_all): %s, %zu bytes, %zu accesses: %.2f ms, %.1f MB/s\n\n",
+              parse.trace.c_str(), parse.bytes, parse.accesses, parse.seconds * 1e3,
+              parse.mb_per_s());
 
   // Deterministic-schema trajectory record (values are machine-dependent
   // timings; the schema and row order are stable).
-  std::FILE* f = std::fopen("BENCH_stream.json", "w");
+  std::FILE* f = std::fopen("BENCH_stream.run.json", "w");
   if (!f) return;
   std::fprintf(f, "{\n  \"bench\": \"stream_throughput\",\n  \"runs\": [\n");
   for (std::size_t i = 0; i < runs.size(); ++i) {
@@ -147,9 +186,14 @@ void print_table_and_json() {
     std::fprintf(f, "    {\"trace\": \"%s\", \"end_to_end\": %.1f}%s\n",
                  speedups[i].first.c_str(), speedups[i].second,
                  i + 1 < speedups.size() ? "," : "");
-  std::fprintf(f, "  ]\n}\n");
+  std::fprintf(f, "  ],\n");
+  std::fprintf(f,
+               "  \"parse\": {\"trace\": \"%s\", \"bytes\": %zu, \"accesses\": %zu, "
+               "\"seconds\": %.6f, \"mb_per_s\": %.1f}\n}\n",
+               parse.trace.c_str(), parse.bytes, parse.accesses, parse.seconds,
+               parse.mb_per_s());
   std::fclose(f);
-  std::printf("wrote BENCH_stream.json (%zu runs)\n\n", runs.size());
+  std::printf("wrote BENCH_stream.run.json (%zu runs + parse)\n\n", runs.size());
 }
 
 /// Shared fixture file for the registered benchmarks: one raster pass of
@@ -161,6 +205,14 @@ std::string bench_trace_file(std::size_t repeats) {
     seq::write_trace_file(file, periodic_raster({32, 32}, repeats, "loop"));
   return file;
 }
+
+void BM_ReadAll(benchmark::State& state) {
+  const std::string file = bench_trace_file(1000);  // 1,024,000 accesses
+  for (auto _ : state) benchmark::DoNotOptimize(read_all(file));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(std::filesystem::file_size(file)));
+}
+BENCHMARK(BM_ReadAll)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 void BM_MaterializingEndToEnd(benchmark::State& state) {
   const auto repeats = static_cast<std::size_t>(state.range(0));
@@ -187,7 +239,7 @@ int main(int argc, char** argv) {
   print_table_and_json();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  for (std::size_t repeats : {64u, 128u, 256u})
+  for (std::size_t repeats : {64u, 128u, 256u, 1000u})
     std::remove(("stream_bench_" + std::to_string(repeats) + ".trace").c_str());
   return 0;
 }

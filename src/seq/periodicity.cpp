@@ -1,5 +1,6 @@
 #include "seq/periodicity.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -63,6 +64,29 @@ void StreamingCompressor::push(std::uint32_t addr) {
     fail_.push_back(k);
   }
   relock_if_profitable();
+}
+
+void StreamingCompressor::push_span(const std::uint32_t* a, std::size_t n) {
+  const std::uint32_t* const end = a + n;
+  while (a != end) {
+    if (locked_) {
+      const std::uint32_t* period = buf_.data();
+      const std::size_t p = buf_.size();
+      std::size_t phase = count_ % p;
+      const std::uint32_t* const run = a;
+      for (;;) {
+        const std::size_t len = std::min(p - phase, static_cast<std::size_t>(end - a));
+        const std::uint32_t* const stop = std::mismatch(a, a + len, period + phase).first;
+        const bool matched = stop == a + len;
+        a = stop;
+        if (!matched || a == end) break;
+        phase = 0;
+      }
+      count_ += static_cast<std::size_t>(a - run);
+      if (a == end) return;
+    }
+    push(*a++);
+  }
 }
 
 void StreamingCompressor::relock_if_profitable() {
@@ -132,7 +156,7 @@ CompressedTrace StreamingCompressor::finish(ArrayGeometry geometry,
 
 CompressedTrace compress_periodic(const AddressTrace& trace) {
   StreamingCompressor sc;
-  for (std::uint32_t a : trace.linear()) sc.push(a);
+  sc.push_span(trace.linear().data(), trace.linear().size());
   return sc.finish(trace.geometry(), trace.name());
 }
 

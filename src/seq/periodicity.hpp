@@ -16,7 +16,8 @@
 //
 // Two entry points share one implementation:
 //  * compress_periodic(trace)  — batch, for materialized traces;
-//  * StreamingCompressor       — push() one address at a time.  Once a
+//  * StreamingCompressor       — push() one address (or push_span() a run
+//    of addresses) at a time.  Once a
 //    period has been observed twice it holds only the period (O(period)
 //    memory) and verifies subsequent addresses against it in O(1); an
 //    aperiodic stream degrades to buffering everything, which is the
@@ -88,6 +89,10 @@ struct CompressedTrace {
 class StreamingCompressor {
  public:
   void push(std::uint32_t addr);
+  /// Same result as push() on each of a[0..n).  While locked, whole runs
+  /// are compared against the period with a running phase, and the first
+  /// mismatch goes through push().
+  void push_span(const std::uint32_t* a, std::size_t n);
   /// Addresses pushed so far.
   std::size_t count() const { return count_; }
   /// Elements currently buffered — O(period) in locked mode; the memory

@@ -1,5 +1,6 @@
 #include "seq/stream_io.hpp"
 
+#include <array>
 #include <cctype>
 #include <climits>
 #include <fstream>
@@ -18,8 +19,29 @@ namespace {
                               what);
 }
 
-bool is_ws(char c) {
-  return std::isspace(static_cast<unsigned char>(c)) != 0;
+// One byte-class table drives every tokenizing decision.  The whitespace
+// class is the C locale's isspace set; '#' ends a line's tokens wherever it
+// appears, so "12#3" reads as "12".
+enum ByteClass : unsigned char { kOther, kDigit, kSpace, kHash };
+
+constexpr std::array<unsigned char, 256> kByteClass = [] {
+  std::array<unsigned char, 256> t{};
+  for (int c = '0'; c <= '9'; ++c) t[static_cast<unsigned char>(c)] = kDigit;
+  for (char c : {' ', '\t', '\n', '\v', '\f', '\r'})
+    t[static_cast<unsigned char>(c)] = kSpace;
+  t[static_cast<unsigned char>('#')] = kHash;
+  return t;
+}();
+
+unsigned char byte_class(char c) {
+  return kByteClass[static_cast<unsigned char>(c)];
+}
+
+bool is_ws(char c) { return byte_class(c) == kSpace; }
+
+// Tokens end at whitespace, at '#' or at the end of the line.
+bool ends_token(const char* p, const char* end) {
+  return p == end || byte_class(*p) >= kSpace;
 }
 
 void skip_ws(std::string_view s, std::size_t& pos) {
@@ -27,7 +49,8 @@ void skip_ws(std::string_view s, std::size_t& pos) {
 }
 
 // Next whitespace-delimited token, or empty at end of line (mirrors
-// `istringstream >> std::string`).
+// `istringstream >> std::string`).  Directive lines are cut at '#' before
+// they get here.
 std::string_view next_token(std::string_view s, std::size_t& pos) {
   skip_ws(s, pos);
   const std::size_t start = pos;
@@ -49,7 +72,7 @@ std::optional<std::size_t> extract_size(std::string_view s, std::size_t& pos) {
   }
   unsigned long long v = 0;
   bool any = false, overflow = false;
-  while (pos < s.size() && std::isdigit(static_cast<unsigned char>(s[pos]))) {
+  while (pos < s.size() && byte_class(s[pos]) == kDigit) {
     any = true;
     const unsigned d = static_cast<unsigned>(s[pos] - '0');
     if (v > (ULLONG_MAX - d) / 10) overflow = true;
@@ -108,13 +131,54 @@ bool LineSplitter::fetch() {
 
 void TraceLineParser::line(std::string_view text, std::size_t line_no,
                            std::vector<std::uint32_t>& out) {
-  if (const auto hash = text.find('#'); hash != std::string_view::npos)
-    text = text.substr(0, hash);
+  const char* p = text.data();
+  const char* const end = p + text.size();
+  while (p != end && byte_class(*p) == kSpace) ++p;
+  if (p == end || *p == '#') return;  // blank / comment-only line
 
-  std::size_t pos = 0;
-  const std::string_view first = next_token(text, pos);
-  if (first.empty()) return;  // blank / comment-only line
+  // A token starting with a digit cannot be a directive.
+  if (byte_class(*p) != kDigit) {
+    const char* q = p;
+    while (!ends_token(q, end)) ++q;
+    const std::string_view first(p, static_cast<std::size_t>(q - p));
+    if (first == "geometry" || first == "name") {
+      directive(first, text.substr(0, text.find('#')),
+                static_cast<std::size_t>(q - text.data()), line_no);
+      return;
+    }
+  }
 
+  // Otherwise the whole line is addresses, starting at p.
+  if (!have_geometry_) fail(line_no, "addresses before the geometry directive");
+  const std::size_t size = geom_.size();
+  for (;;) {
+    while (p != end && byte_class(*p) == kSpace) ++p;
+    if (p == end || *p == '#') return;
+    const char* const tok = p;
+    // Fast path: up to 9 digits cannot overflow 32 bits, so the range test
+    // is the only check.  The digit test is arithmetic; the table decides
+    // where the token ends.
+    std::uint32_t d = static_cast<unsigned char>(*p - '0');
+    if (d < 10) {
+      std::uint32_t v = d;
+      const char* const lim = end - p > 9 ? p + 9 : end;
+      for (++p; p != lim && (d = static_cast<unsigned char>(*p - '0')) < 10; ++p)
+        v = v * 10 + d;
+      if (ends_token(p, end)) {
+        if (v >= size)
+          fail_outside(std::string_view(tok, static_cast<std::size_t>(p - tok)), line_no);
+        out.push_back(v);
+        continue;
+      }
+    }
+    p = tok;
+    while (!ends_token(p, end)) ++p;
+    long_address(std::string_view(tok, static_cast<std::size_t>(p - tok)), line_no, out);
+  }
+}
+
+void TraceLineParser::directive(std::string_view first, std::string_view text,
+                                std::size_t pos, std::size_t line_no) {
   if (first == "geometry") {
     if (have_geometry_) fail(line_no, "duplicate geometry");
     const auto w = extract_size(text, pos);
@@ -123,50 +187,49 @@ void TraceLineParser::line(std::string_view text, std::size_t line_no,
       fail(line_no, "expected 'geometry <width> <height>' with positive sizes");
     const std::string_view extra = next_token(text, pos);
     if (!extra.empty()) fail(line_no, "trailing token '" + std::string(extra) + "'");
+    if (!addressable({*w, *h}))
+      fail(line_no, "geometry " + std::to_string(*w) + "x" + std::to_string(*h) +
+                        " is too large (at most 2^32 cells, each side below 2^32)");
     geom_ = {*w, *h};
     have_geometry_ = true;
     return;
   }
-  if (first == "name") {
-    if (have_name_) fail(line_no, "duplicate name");
-    const std::string_view value = next_token(text, pos);
-    if (value.empty()) fail(line_no, "expected 'name <identifier>'");
-    const std::string_view extra = next_token(text, pos);
-    if (!extra.empty()) fail(line_no, "trailing token '" + std::string(extra) + "'");
-    name_ = std::string(value);
-    have_name_ = true;
-    return;
-  }
+  if (have_name_) fail(line_no, "duplicate name");
+  const std::string_view value = next_token(text, pos);
+  if (value.empty()) fail(line_no, "expected 'name <identifier>'");
+  const std::string_view extra = next_token(text, pos);
+  if (!extra.empty()) fail(line_no, "trailing token '" + std::string(extra) + "'");
+  name_ = std::string(value);
+  have_name_ = true;
+}
 
-  // Otherwise the whole line is addresses (first is the first of them).
-  if (!have_geometry_) fail(line_no, "addresses before the geometry directive");
-  pos = 0;
-  for (;;) {
-    const std::string_view tok = next_token(text, pos);
-    if (tok.empty()) break;
-    // A sign would wrap through unsigned conversion and surface as a
-    // misleading "outside the array" error; an address token must be bare
-    // digits (and fit in unsigned long, matching the historical std::stoul
-    // behavior).
-    bool digits = std::isdigit(static_cast<unsigned char>(tok[0])) != 0;
-    unsigned long v = 0;
-    bool overflow = false;
-    for (std::size_t i = 0; digits && i < tok.size(); ++i) {
-      if (!std::isdigit(static_cast<unsigned char>(tok[i]))) {
-        digits = false;
-        break;
-      }
-      const unsigned d = static_cast<unsigned>(tok[i] - '0');
-      if (v > (ULONG_MAX - d) / 10) overflow = true;
-      v = v * 10 + d;
+void TraceLineParser::fail_outside(std::string_view tok, std::size_t line_no) const {
+  fail(line_no, "address " + std::string(tok) + " outside the " +
+                    std::to_string(geom_.width) + "x" + std::to_string(geom_.height) +
+                    " array");
+}
+
+void TraceLineParser::long_address(std::string_view tok, std::size_t line_no,
+                                   std::vector<std::uint32_t>& out) const {
+  // A sign would wrap through unsigned conversion and surface as a
+  // misleading "outside the array" error; an address token must be bare
+  // digits (and fit in unsigned long, matching the historical std::stoul
+  // behavior).
+  bool digits = true;
+  bool overflow = false;
+  unsigned long v = 0;
+  for (char c : tok) {
+    if (byte_class(c) != kDigit) {
+      digits = false;
+      break;
     }
-    if (!digits || overflow) fail(line_no, "not an address: '" + std::string(tok) + "'");
-    if (v >= geom_.size())
-      fail(line_no, "address " + std::string(tok) + " outside the " +
-                        std::to_string(geom_.width) + "x" + std::to_string(geom_.height) +
-                        " array");
-    out.push_back(static_cast<std::uint32_t>(v));
+    const unsigned d = static_cast<unsigned>(c - '0');
+    if (v > (ULONG_MAX - d) / 10) overflow = true;
+    v = v * 10 + d;
   }
+  if (!digits || overflow) fail(line_no, "not an address: '" + std::string(tok) + "'");
+  if (v >= geom_.size()) fail_outside(tok, line_no);
+  out.push_back(static_cast<std::uint32_t>(v));
 }
 
 void TraceLineParser::finish(bool any_addresses) const {
@@ -195,9 +258,15 @@ bool TraceReader::next(std::uint32_t& addr) {
 }
 
 AddressTrace TraceReader::read_all() {
-  std::vector<std::uint32_t> addrs;
-  std::uint32_t a = 0;
-  while (next(a)) addrs.push_back(a);
+  // Addresses queued by an earlier next() come first; every further line is
+  // parsed straight into the result.
+  std::vector<std::uint32_t> addrs(queue_.begin() + static_cast<std::ptrdiff_t>(queue_pos_),
+                                   queue_.end());
+  queue_.clear();
+  queue_pos_ = 0;
+  while (lines_.fetch()) parser_.line(lines_.line(), ++line_no_, addrs);
+  delivered_ += addrs.size();
+  parser_.finish(delivered_ > 0);
   return AddressTrace(geometry(), std::move(addrs), name());
 }
 

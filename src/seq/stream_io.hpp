@@ -1,14 +1,21 @@
-// Streaming trace ingestion.
+// Trace ingestion: the one reader of the trace text format.
 //
-// seq/trace_io.hpp materializes a whole trace per call, which is fine for
-// the synthetic suites but not for million-access recorded logs.  This
-// module reads the same text format incrementally:
-//
-//  * TraceReader — pull one address at a time from a chunked, single-pass
-//    tokenizer (no per-line istringstream, no whole-file buffer; memory is
-//    one I/O chunk plus the longest line).  Grammar and error messages are
-//    identical to read_trace — both are built on the same line parser and a
-//    randomized differential test holds them equal.
+//  * TraceReader — a chunked, single-pass reader (memory: one I/O chunk
+//    plus the longest line, on top of what the caller keeps).  read_all()
+//    parses every line straight into the materialized trace; next() pulls
+//    one address at a time.  seq::read_trace / read_trace_string /
+//    read_trace_file (seq/trace_io.hpp) are thin wrappers over read_all(),
+//    so every tool and the daemon share this path.
+//  * The tokenizer (detail::TraceLineParser) makes one pass per line driven
+//    by a constexpr byte-class table: C-locale whitespace, digits, and '#',
+//    which ends the line's tokens wherever it appears.  Address tokens of up
+//    to 9 digits take a bare digit loop plus the range check; longer or odd
+//    tokens fall back to the exact rules ("not an address" unless bare
+//    digits that fit in unsigned long, then the range check).  The geometry
+//    directive rejects arrays whose linear addresses would not fit in 32
+//    bits (width and height each below 2^32, width x height at most 2^32).
+//    Grammar and error strings are differential-tested against a test-only
+//    reference parser, and fuzzed.
 //  * read_trace_compressed — TraceReader feeding a
 //    seq::StreamingCompressor, so a periodic million-access file is read in
 //    O(period) memory and returned already factored.
@@ -57,14 +64,14 @@ class LineSplitter {
   bool eof_ = false;
 };
 
-/// The trace-format line grammar, shared verbatim by read_trace and
-/// TraceReader so the two readers cannot drift apart.  Stateful: remembers
-/// the geometry/name directives seen so far.
+/// The trace-format line grammar behind every trace reader (the one-pass
+/// table-driven tokenizer described at the top of this file).  Stateful:
+/// remembers the geometry/name directives seen so far.
 class TraceLineParser {
  public:
   /// Parses one line (no trailing '\n'), appending any addresses to `out`.
-  /// Throws std::invalid_argument with the historical line-numbered
-  /// messages on malformed input.
+  /// Throws std::invalid_argument with line-numbered messages on malformed
+  /// input.
   void line(std::string_view text, std::size_t line_no,
             std::vector<std::uint32_t>& out);
 
@@ -72,11 +79,18 @@ class TraceLineParser {
   /// whether any address was produced.
   void finish(bool any_addresses) const;
 
-  bool have_geometry() const { return have_geometry_; }
   const ArrayGeometry& geometry() const { return geom_; }
   const std::string& name() const { return name_; }
 
  private:
+  /// `text` is the line cut at its first '#', `pos` the offset just past
+  /// the directive keyword `first`.
+  void directive(std::string_view first, std::string_view text, std::size_t pos,
+                 std::size_t line_no);
+  void long_address(std::string_view tok, std::size_t line_no,
+                    std::vector<std::uint32_t>& out) const;
+  [[noreturn]] void fail_outside(std::string_view tok, std::size_t line_no) const;
+
   ArrayGeometry geom_{};
   bool have_geometry_ = false;
   bool have_name_ = false;
@@ -91,8 +105,7 @@ class TraceLineParser {
 /// returned true (addresses cannot precede the directive), name() and the
 /// end-of-input validation are final once next() has returned false.
 /// next() throws std::invalid_argument on malformed input — including, on
-/// exhaustion, the "missing geometry" / "no addresses" checks read_trace
-/// performs — with messages identical to read_trace.
+/// exhaustion, the "missing geometry" / "no addresses" checks.
 class TraceReader {
  public:
   static constexpr std::size_t kDefaultChunkBytes = 64 * 1024;
@@ -111,8 +124,8 @@ class TraceReader {
   /// Addresses returned by next() so far.
   std::size_t delivered() const { return delivered_; }
 
-  /// Drains the remaining stream into a materialized trace — the streaming
-  /// equivalent of read_trace (differential-tested identical).
+  /// Drains the remaining stream into a materialized trace, parsing each
+  /// line straight into it.  read_trace is this call.
   AddressTrace read_all();
 
  private:

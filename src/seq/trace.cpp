@@ -1,5 +1,6 @@
 #include "seq/trace.hpp"
 
+#include <cstdint>
 #include <stdexcept>
 
 namespace addm::seq {
@@ -9,6 +10,10 @@ AddressTrace::AddressTrace(ArrayGeometry geom, std::vector<std::uint32_t> linear
     : geom_(geom), linear_(std::move(linear)), name_(std::move(name)) {
   if (geom_.width == 0 || geom_.height == 0)
     throw std::invalid_argument("AddressTrace: degenerate geometry");
+  if (!addressable(geom_))
+    throw std::invalid_argument("AddressTrace: geometry " + std::to_string(geom_.width) +
+                                "x" + std::to_string(geom_.height) +
+                                " is too large (at most 2^32 cells, each side below 2^32)");
   for (std::uint32_t a : linear_)
     if (a >= geom_.size())
       throw std::invalid_argument("AddressTrace: address " + std::to_string(a) +
@@ -27,6 +32,13 @@ std::vector<std::uint32_t> AddressTrace::cols() const {
   c.reserve(linear_.size());
   for (std::uint32_t a : linear_) c.push_back(col_of(a));
   return c;
+}
+
+bool addressable(const ArrayGeometry& g) {
+  constexpr std::uint64_t kMaxSide = UINT32_MAX;
+  // Both sides below 2^32, so the product cannot overflow 64 bits.
+  return g.width <= kMaxSide && g.height <= kMaxSide &&
+         std::uint64_t{g.width} * g.height <= kMaxSide + 1;
 }
 
 bool parse_u64(std::string_view s, std::uint64_t& out) {

@@ -20,6 +20,10 @@ struct ArrayGeometry {
   bool operator==(const ArrayGeometry&) const = default;
 };
 
+/// True when every linear address of `g` fits in std::uint32_t: width and
+/// height each fit in 32 bits and width x height is at most 2^32.
+bool addressable(const ArrayGeometry& g);
+
 /// Strict non-negative decimal: digits only, no sign or whitespace; false
 /// on overflow or any other malformed input.
 bool parse_u64(std::string_view s, std::uint64_t& out);
@@ -31,7 +35,8 @@ bool parse_geometry(std::string_view s, ArrayGeometry& g);
 class AddressTrace {
  public:
   AddressTrace() = default;
-  /// Throws std::invalid_argument if any address is outside the array.
+  /// Throws std::invalid_argument if the geometry is empty or not
+  /// addressable(), or if any address is outside the array.
   AddressTrace(ArrayGeometry geom, std::vector<std::uint32_t> linear,
                std::string name = {});
 

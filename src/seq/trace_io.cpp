@@ -9,16 +9,7 @@
 namespace addm::seq {
 
 AddressTrace read_trace(std::istream& in) {
-  // One pass over each line through the grammar shared with TraceReader
-  // (seq/stream_io.hpp) — the historical implementation tokenized every
-  // line twice through two istringstreams.
-  detail::TraceLineParser parser;
-  std::vector<std::uint32_t> addrs;
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(in, line)) parser.line(line, ++line_no, addrs);
-  parser.finish(!addrs.empty());
-  return AddressTrace(parser.geometry(), std::move(addrs), parser.name());
+  return TraceReader(in).read_all();
 }
 
 AddressTrace read_trace_string(const std::string& text) {
@@ -42,7 +33,7 @@ std::string write_trace_string(const AddressTrace& trace) {
 }
 
 AddressTrace read_trace_file(const std::string& path) {
-  std::ifstream in(path);
+  std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("cannot open trace file: " + path);
   return read_trace(in);
 }

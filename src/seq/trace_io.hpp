@@ -8,9 +8,11 @@
 //   <addr> <addr> ...          (any number of lines of linear addresses)
 //
 // Each directive may appear at most once and takes exactly its operands.
+// The geometry must be 32-bit addressable: width and height below 2^32 and
+// width x height at most 2^32.
 // Used by the sradgen tool and for exchanging traces with external
-// profilers/simulators. For incremental / constant-memory reading of the
-// same format see seq/stream_io.hpp.
+// profilers/simulators.  The readers below are thin wrappers over
+// seq::TraceReader (seq/stream_io.hpp), the one tokenizer of this format.
 #pragma once
 
 #include <iosfwd>
@@ -20,8 +22,8 @@
 
 namespace addm::seq {
 
-/// Parses a trace; throws std::invalid_argument with a line-numbered message
-/// on malformed input.
+/// Parses a trace (TraceReader::read_all); throws std::invalid_argument with
+/// a line-numbered message on malformed input.
 AddressTrace read_trace(std::istream& in);
 AddressTrace read_trace_string(const std::string& text);
 

@@ -3,7 +3,9 @@
 // loop-nest recovery.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <random>
 #include <vector>
 
 #include "seq/analysis.hpp"
@@ -158,6 +160,58 @@ TEST(StreamingCompressor, AgreesWithBatchOnArbitraryInput) {
   EXPECT_EQ(a.period, b.period);
   EXPECT_EQ(a.repeats, b.repeats);
   EXPECT_EQ(a.tail, b.tail);
+}
+
+TEST(StreamingCompressor, PushSpanMatchesPerAddressPush) {
+  // Periodic stretches broken by noise: the compressor locks, unlocks on the
+  // break and relocks, and spans of random length cut across every phase.
+  std::mt19937 rng(4242);
+  const ArrayGeometry g{8, 8};
+  int relocked_trials = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<std::uint32_t> a;
+    const int segments = 1 + static_cast<int>(rng() % 4);
+    for (int s = 0; s < segments; ++s) {
+      std::vector<std::uint32_t> period(1 + rng() % 9);
+      for (auto& v : period) v = rng() % 5;
+      const std::size_t len = rng() % 120;
+      for (std::size_t i = 0; i < len; ++i) a.push_back(period[i % period.size()]);
+      for (std::size_t i = rng() % 3; i > 0; --i) a.push_back(rng() % 64);
+    }
+    StreamingCompressor one, span;
+    std::size_t locks = 0;
+    for (std::size_t i = 0; i < a.size();) {
+      const std::size_t n = std::min<std::size_t>(a.size() - i, rng() % 40);
+      for (std::size_t k = i; k < i + n; ++k) {
+        const bool was_locked = one.locked();
+        one.push(a[k]);
+        locks += !was_locked && one.locked();
+      }
+      span.push_span(a.data() + i, n);
+      i += n;
+      ASSERT_EQ(span.count(), one.count()) << "trial " << trial;
+      ASSERT_EQ(span.locked(), one.locked()) << "trial " << trial << " at " << i;
+      ASSERT_EQ(span.buffered(), one.buffered()) << "trial " << trial << " at " << i;
+    }
+    const CompressedTrace x = one.finish(g, "t"), y = span.finish(g, "t");
+    EXPECT_EQ(y.prefix, x.prefix) << "trial " << trial;
+    EXPECT_EQ(y.period, x.period) << "trial " << trial;
+    EXPECT_EQ(y.repeats, x.repeats) << "trial " << trial;
+    EXPECT_EQ(y.tail, x.tail) << "trial " << trial;
+    relocked_trials += locks >= 2;
+  }
+  EXPECT_GT(relocked_trials, 20);
+  // Explicit lock -> break -> relock through one span.
+  std::vector<std::uint32_t> a;
+  for (int r = 0; r < 6; ++r) a.insert(a.end(), {1, 2, 3});
+  a.push_back(7);
+  for (int r = 0; r < 6; ++r) a.insert(a.end(), {1, 2, 3});
+  StreamingCompressor one, span;
+  for (std::uint32_t v : a) one.push(v);
+  span.push_span(a.data(), a.size());
+  EXPECT_EQ(span.finish(g).period, one.finish(g).period);
+  EXPECT_EQ(span.finish(g).prefix, one.finish(g).prefix);
+  EXPECT_EQ(span.buffered(), one.buffered());
 }
 
 TEST(RecoverLoopNest, RasterPeriodBecomesTwoLoops) {

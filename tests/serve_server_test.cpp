@@ -263,6 +263,36 @@ TEST(ServeServer, BadRequestsGetFramedErrorsAndConnectionSurvives) {
   EXPECT_TRUE(result.ok);
 }
 
+TEST(ServeServer, OversizedInlineGeometryIsAnIoErrorNotACrash) {
+  // A width of 2^32 used to parse, then divide by zero in row_of() and
+  // take the daemon down with SIGFPE.
+  TestServer ts;
+  ServeClient client = ts.connect();
+  std::string error;
+
+  for (const char* data : {"geometry 4294967296 1\n0 1 2 3\n",
+                           "geometry 65536 65537\n4294967296 1 2 3\n"}) {
+    ExploreRequest req;
+    TraceSource t;
+    t.kind = TraceSource::Kind::kInline;
+    t.name = "huge";
+    t.data = data;
+    req.traces.push_back(t);
+    ServeClient::Result result;
+    ASSERT_TRUE(client.explore(req, result, error)) << error;
+    EXPECT_FALSE(result.ok);
+    EXPECT_EQ(result.error.code, "io");
+    EXPECT_NE(result.error.message.find("is too large"), std::string::npos)
+        << result.error.message;
+  }
+
+  // The daemon then serves the next request on the same connection.
+  ServeClient::Result result;
+  ASSERT_TRUE(client.explore(suite_request(), result, error)) << error;
+  ASSERT_TRUE(result.ok) << result.error.message;
+  EXPECT_EQ(result.body, offline_report(seq::scaled_suite({8, 8}, 1), {}));
+}
+
 TEST(ServeServer, GarbageAndDisconnectsNeverKillTheDaemon) {
   TestServer ts;
   {

@@ -1,6 +1,6 @@
-// Tests for the streaming trace reader (chunk-boundary handling, error
-// parity with read_trace), the compressed-read convenience, and the
-// valgrind/lackey log importer.
+// Tests for the trace reader (chunk-boundary handling, output and error
+// parity with the test-only reference parser), the compressed-read
+// convenience, and the valgrind/lackey log importer.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -12,6 +12,7 @@
 #include "seq/stream_io.hpp"
 #include "seq/trace_io.hpp"
 #include "seq/workloads.hpp"
+#include "trace_reference.hpp"
 
 namespace addm::seq {
 namespace {
@@ -54,7 +55,7 @@ TEST(TraceReader, EveryChunkSizeProducesTheSameTrace) {
       "name chunky\n"
       "0 1 2 3 10 11 12 13\n"
       "60 61 62 63";
-  const auto expected = read_trace_string(text);
+  const auto expected = reference::read_trace_string(text);
   for (std::size_t chunk : {1u, 2u, 3u, 5u, 7u, 16u, 64u, 4096u}) {
     const auto got = stream_read(text, chunk);
     EXPECT_EQ(got.linear(), expected.linear()) << "chunk " << chunk;
@@ -63,7 +64,7 @@ TEST(TraceReader, EveryChunkSizeProducesTheSameTrace) {
   }
 }
 
-TEST(TraceReader, ErrorsMatchReadTrace) {
+TEST(TraceReader, ErrorsMatchReference) {
   const std::vector<std::string> bad = {
       "0 1 2\n",                          // addresses before geometry
       "geometry 2 2\ngeometry 2 2\n0\n",  // duplicate geometry
@@ -78,22 +79,56 @@ TEST(TraceReader, ErrorsMatchReadTrace) {
       "geometry 2 2\nname a\nname b\n0\n",  // duplicate name
       "geometry 2 2\n",                   // no addresses
       "# nothing\n",                      // missing geometry
+      "geometry 4294967296 1\n0 1 2 3\n",          // width beyond 32 bits
+      "geometry 65536 65537\n4294967296 1 2 3\n",  // more than 2^32 cells
+      "geometry 2 2\n0 18446744073709551616\n",    // overflows unsigned long
+      "geometry 2 2\n0 1234567890\n",             // 10 digits, out of range
+      "geometry 65536 65536\n0 4294967296\n",     // 2^32: one past the last cell
+      "geometry 65536 65536\n9999999999\n",       // would wrap in 32 bits
+      "geometry 2 2\n0 12#3 x\n1 0003\n0 7",      // '#' glued to a token
   };
   for (const std::string& text : bad) {
-    std::string batch_err, stream_err;
+    const auto expected =
+        reference::read_outcome([&] { return reference::read_trace_string(text); });
+    ASSERT_FALSE(expected.error.empty()) << text;
+    for (std::size_t chunk : {std::size_t{1}, std::size_t{3}, TraceReader::kDefaultChunkBytes})
+      EXPECT_EQ(reference::read_outcome([&] { return stream_read(text, chunk); }), expected)
+          << text << " chunk " << chunk;
+    EXPECT_EQ(reference::read_outcome([&] { return read_trace_string(text); }), expected)
+        << text;
+  }
+}
+
+TEST(TraceReader, GeometryBeyond32BitsIsALineNumberedError) {
+  for (const char* text : {"# big\ngeometry 4294967296 1\n0 1 2 3\n",
+                           "# big\ngeometry 65536 65537\n4294967296 1 2 3\n"}) {
     try {
       read_trace_string(text);
+      FAIL() << text;
     } catch (const std::invalid_argument& e) {
-      batch_err = e.what();
+      const std::string what = e.what();
+      EXPECT_EQ(what.rfind("trace parse error at line 2: geometry ", 0), 0u) << what;
+      EXPECT_NE(what.find("is too large (at most 2^32 cells, each side below 2^32)"),
+                std::string::npos)
+          << what;
     }
-    try {
-      stream_read(text, 3);
-    } catch (const std::invalid_argument& e) {
-      stream_err = e.what();
-    }
-    ASSERT_FALSE(batch_err.empty()) << text;
-    EXPECT_EQ(stream_err, batch_err) << text;
   }
+  // The largest addressable arrays still parse: 2^32 cells, or a side of
+  // 2^32 - 1.
+  EXPECT_EQ(read_trace_string("geometry 65536 65536\n4294967295\n").linear(),
+            (std::vector<std::uint32_t>{4294967295u}));
+  EXPECT_EQ(read_trace_string("geometry 1 4294967295\n4294967294\n").linear(),
+            (std::vector<std::uint32_t>{4294967294u}));
+}
+
+TEST(TraceReader, ReadAllAfterNextReturnsTheRest) {
+  std::istringstream in("geometry 4 4\n0 1 2\n3 4\n");
+  TraceReader reader(in, 2);
+  std::uint32_t a = 0;
+  ASSERT_TRUE(reader.next(a));
+  EXPECT_EQ(a, 0u);
+  EXPECT_EQ(reader.read_all().linear(), (std::vector<std::uint32_t>{1, 2, 3, 4}));
+  EXPECT_EQ(reader.delivered(), 5u);
 }
 
 TEST(TraceReader, MatchesReadTraceOnGeneratedSuite) {

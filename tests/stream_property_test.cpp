@@ -1,7 +1,8 @@
 // Randomized properties tying the streaming pipeline to its materializing
 // counterparts:
-//  * TraceReader == read_trace on arbitrary generated inputs, for both
-//    parsed traces and error messages, at adversarial chunk sizes;
+//  * TraceReader (and read_trace, which wraps it) == the test-only reference
+//    parser on arbitrary generated inputs, for both parsed traces and error
+//    messages, at every chunk size from 1 to 40 bytes and at 64 KiB;
 //  * compress -> expand is the identity on every suite trace and on
 //    randomized prefix + k x period + tail constructions;
 //  * exploration reports are byte-identical with compression on vs off for
@@ -9,6 +10,8 @@
 //    evaluation of a pure periodic trace is annotated and period-priced.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <random>
 #include <sstream>
 #include <string>
@@ -20,114 +23,139 @@
 #include "seq/stream_io.hpp"
 #include "seq/trace_io.hpp"
 #include "seq/workloads.hpp"
+#include "trace_reference.hpp"
 
 namespace addm::seq {
 namespace {
 
 // Random trace-format text: usually valid, sometimes deliberately broken
 // (bad tokens, misplaced/duplicate directives, out-of-range addresses).
+// Covers every whitespace byte (CRLF line ends, \v, \f), leading zeros,
+// '#' glued to a token, tokens of 9, 10, 20 and 21 digits around the
+// tokenizer's 9-digit fast path and ULONG_MAX, and geometries at and beyond
+// the 32-bit address bound.
 std::string random_trace_text(std::mt19937& rng) {
   std::uniform_int_distribution<int> pct(0, 99);
+  // A clean text holds only valid constructs, so about half the trials
+  // parse and the other half exercise the diagnostics.
+  const bool clean = pct(rng) < 50;
+  auto digits = [&](int n) {
+    std::string d;
+    for (int i = 0; i < n; ++i)
+      d += static_cast<char>('0' + (i == 0 ? 1 + rng() % 9 : rng() % 10));
+    return d;
+  };
   std::ostringstream os;
-  const std::size_t w = 1 + rng() % 9;
-  const std::size_t h = 1 + rng() % 9;
-  bool geometry_written = false;
+  std::size_t w = 1 + rng() % 9;
+  std::size_t h = 1 + rng() % 9;
+  std::string dims = std::to_string(w) + " " + std::to_string(h);
+  const bool big = pct(rng) < 15;
+  if (big) {
+    static const char* const kBig[] = {"65536 65536", "1 4294967295", "4294967296 1",
+                                       "65536 65537", "-1 1",         "4294967295 2"};
+    dims = kBig[clean || pct(rng) < 50 ? rng() % 2 : 2 + rng() % 4];
+    w = h = 65536;  // addresses stay small; the bound decides validity
+  }
+  const std::size_t range = std::min<std::size_t>(w * h, 1000);
+  static const char* const kSeparators[] = {" ", "\t", "\v", "\f", "\r"};
+  bool geometry_written = false, name_written = false;
   const int lines = 1 + static_cast<int>(rng() % 12);
   for (int l = 0; l < lines; ++l) {
     const int roll = pct(rng);
-    if (!geometry_written && roll < 60) {
-      os << "geometry " << w << " " << h;
-      if (pct(rng) < 5) os << " trailing";
+    if (!geometry_written && (roll < 60 || clean)) {
+      os << "geometry " << dims;
+      if (!clean && pct(rng) < 5) os << " trailing";
+      if (pct(rng) < 5) os << "#glued";
       geometry_written = true;
     } else if (roll < 8) {
       os << "# a comment with tokens 1 2 3";
-    } else if (roll < 12) {
+    } else if (roll < 12 && !(clean && name_written)) {
       os << "name t" << rng() % 100;
-      if (pct(rng) < 10) os << " extra";
+      if (!clean && pct(rng) < 10) os << " extra";
+      if (pct(rng) < 10) os << "#c";
+      name_written = true;
     } else if (roll < 16) {
       // empty or whitespace-only line
-      if (pct(rng) < 50) os << "   \t ";
-    } else if (roll < 20) {
-      os << "geometry " << w << " " << h;  // possible duplicate
+      if (pct(rng) < 50) os << "   \t\v\f ";
+    } else if (roll < 20 && !clean) {
+      os << "geometry " << dims;  // possible duplicate
     } else {
       const int n = 1 + static_cast<int>(rng() % 20);
       for (int i = 0; i < n; ++i) {
-        if (i) os << (pct(rng) < 10 ? "\t" : " ");
+        if (i) os << kSeparators[pct(rng) < 80 ? 0 : rng() % 5];
         const int kind = pct(rng);
-        if (kind < 88) {
-          os << rng() % (w * h + (pct(rng) < 6 ? 2 : 0));  // mostly in range
-        } else if (kind < 92) {
-          os << "-" << rng() % 10;
-        } else if (kind < 96) {
-          os << rng() % 100 << "x";
+        if (kind < 75) {
+          os << rng() % (range + (!clean && pct(rng) < 6 ? 2 : 0));  // mostly in range
+        } else if (kind < 82) {
+          // Leading zeros, padding in-range values to 9, 10 or 20 digits.
+          const std::string v = std::to_string(rng() % range);
+          const std::size_t width = std::array<std::size_t, 4>{2, 9, 10, 20}[rng() % 4];
+          os << std::string(width > v.size() ? width - v.size() : 0, '0') << v;
+        } else if (kind < 85) {
+          os << rng() % range << "#" << rng() % 10;  // '#' glued to a token
+        } else if (clean || pct(rng) < 70) {
+          // 10-digit addresses are valid only in the big arrays.
+          if (big) os << 1000000000u + rng() % 3294967295u;
+          else os << rng() % range;
+        } else if (big && pct(rng) < 50) {
+          // 10 digits past 2^32, where 32-bit arithmetic would wrap into
+          // the array.
+          os << 4294967296ull + rng() % 5705032704ull;
         } else {
-          os << "bogus";
+          switch (rng() % 9) {
+            case 0: os << (pct(rng) < 50 ? "-" : "+") << rng() % 10; break;
+            case 1: os << rng() % 100 << "x"; break;
+            case 2: os << "bogus"; break;
+            case 3: os << digits(9); break;
+            case 4: os << digits(10); break;
+            case 5: os << "18446744073709551615"; break;  // ULONG_MAX
+            case 6: os << "18446744073709551616"; break;  // ULONG_MAX + 1
+            case 7: os << digits(20); break;
+            default: os << digits(21); break;
+          }
         }
       }
       if (pct(rng) < 15) os << "  # trailing comment";
     }
-    if (l + 1 < lines || pct(rng) < 80) os << "\n";
+    if (l + 1 < lines || pct(rng) < 80) os << (pct(rng) < 20 ? "\r\n" : "\n");
   }
   return os.str();
 }
 
-struct ReadOutcome {
-  bool ok = false;
-  std::string error;
-  std::vector<std::uint32_t> linear;
-  ArrayGeometry geometry;
-  std::string name;
-};
-
-ReadOutcome run_batch(const std::string& text) {
-  ReadOutcome out;
-  try {
-    const AddressTrace t = read_trace_string(text);
-    out.ok = true;
-    out.linear = t.linear();
-    out.geometry = t.geometry();
-    out.name = t.name();
-  } catch (const std::exception& e) {
-    out.error = e.what();
-  }
-  return out;
-}
+using reference::read_outcome;
+using reference::ReadOutcome;
 
 ReadOutcome run_stream(const std::string& text, std::size_t chunk) {
-  ReadOutcome out;
-  try {
+  return read_outcome([&] {
     std::istringstream in(text);
     TraceReader reader(in, chunk);
-    const AddressTrace t = reader.read_all();
-    out.ok = true;
-    out.linear = t.linear();
-    out.geometry = t.geometry();
-    out.name = t.name();
-  } catch (const std::exception& e) {
-    out.error = e.what();
-  }
-  return out;
+    return reader.read_all();
+  });
 }
 
-TEST(StreamProperty, ReaderMatchesReadTraceOnRandomInputs) {
+TEST(StreamProperty, ReaderMatchesReferenceOnRandomInputs) {
   std::mt19937 rng(20260808);
+  std::vector<std::size_t> chunks;
+  for (std::size_t c = 1; c <= 40; ++c) chunks.push_back(c);
+  chunks.push_back(TraceReader::kDefaultChunkBytes);
+  std::size_t accepted = 0;
   for (int trial = 0; trial < 400; ++trial) {
     const std::string text = random_trace_text(rng);
-    const ReadOutcome batch = run_batch(text);
-    const std::size_t chunk = 1 + rng() % 40;
-    const ReadOutcome stream = run_stream(text, chunk);
-    ASSERT_EQ(stream.ok, batch.ok) << "trial " << trial << " chunk " << chunk
-                                   << "\n---\n" << text << "\n---\nbatch: "
-                                   << batch.error << "\nstream: " << stream.error;
-    if (batch.ok) {
-      EXPECT_EQ(stream.linear, batch.linear) << "trial " << trial;
-      EXPECT_EQ(stream.geometry, batch.geometry) << "trial " << trial;
-      EXPECT_EQ(stream.name, batch.name) << "trial " << trial;
-    } else {
-      EXPECT_EQ(stream.error, batch.error)
-          << "trial " << trial << " chunk " << chunk << "\n---\n" << text;
+    const ReadOutcome expected =
+        read_outcome([&] { return reference::read_trace_string(text); });
+    accepted += expected.ok;
+    ASSERT_EQ(read_outcome([&] { return read_trace_string(text); }), expected)
+        << "trial " << trial << "\n---\n" << text << "\n---\nreference: " << expected.error;
+    for (std::size_t chunk : chunks) {
+      const ReadOutcome got = run_stream(text, chunk);
+      ASSERT_EQ(got, expected) << "trial " << trial << " chunk " << chunk << "\n---\n"
+                               << text << "\n---\nreference: " << expected.error
+                               << "\nreader: " << got.error;
     }
   }
+  // The generator must exercise both outcomes.
+  EXPECT_GT(accepted, 40u);
+  EXPECT_LT(accepted, 360u);
 }
 
 TEST(StreamProperty, CompressExpandRoundTripsEverySuiteTrace) {

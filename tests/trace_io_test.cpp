@@ -60,6 +60,24 @@ TEST(TraceIo, RejectsBadGeometry) {
   EXPECT_THROW(read_trace_string("geometry 0 4\n0\n"), std::invalid_argument);
   EXPECT_THROW(read_trace_string("geometry 4\n0\n"), std::invalid_argument);
   EXPECT_THROW(read_trace_string("geometry 4 4 9\n0\n"), std::invalid_argument);
+  // Geometries whose linear addresses do not fit in 32 bits: a zero-width
+  // row_of() division, or addresses silently wrapping to 0.
+  EXPECT_THROW(read_trace_string("geometry 4294967296 1\n0 1 2 3\n"),
+               std::invalid_argument);
+  EXPECT_THROW(read_trace_string("geometry 65536 65537\n4294967296 1 2 3\n"),
+               std::invalid_argument);
+  EXPECT_THROW(read_trace_string("geometry -1 1\n0\n"), std::invalid_argument);
+  // The same bound holds for traces built in memory.
+  EXPECT_THROW(AddressTrace({std::size_t{1} << 32, 1}, {0}), std::invalid_argument);
+  EXPECT_THROW(AddressTrace({65536, 65537}, {0}), std::invalid_argument);
+  EXPECT_NO_THROW(AddressTrace({65536, 65536}, {0xffffffffu}));
+}
+
+TEST(TraceIo, HashEndsTokensInline) {
+  const auto t = read_trace_string("geometry 4 4#x\nname a#b\n1#3\n2\t0003#4 5\r\n");
+  EXPECT_EQ(t.geometry(), (ArrayGeometry{4, 4}));
+  EXPECT_EQ(t.name(), "a");
+  EXPECT_EQ(t.linear(), (std::vector<std::uint32_t>{1, 2, 3}));
 }
 
 TEST(TraceIo, RejectsOutOfRangeAddress) {

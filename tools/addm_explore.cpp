@@ -30,7 +30,6 @@
 #include "cli_util.hpp"
 #include "core/batch_explorer.hpp"
 #include "core/explore_flags.hpp"
-#include "seq/stream_io.hpp"
 #include "seq/trace_io.hpp"
 #include "seq/workloads.hpp"
 
@@ -53,9 +52,6 @@ void usage(const char* argv0) {
       << "  --base WxH           base geometry for --suite (default 8x8)\n"
       << "  --trace FILE         add one trace file (repeatable)\n"
       << "  --trace-dir DIR      add every *.trace file under DIR\n"
-      << "  --stream             read trace files with the chunked streaming\n"
-      << "                       reader (identical traces and reports; peak\n"
-      << "                       memory drops to one chunk + one line)\n"
       << "\n"
       << "exploration:\n"
       << "  --threads N          worker threads, one trace each (default: hardware)\n"
@@ -86,7 +82,6 @@ int main(int argc, char** argv) {
   std::vector<std::string> trace_dirs;
   std::string format = "csv";
   std::string out_path;
-  bool stream = false;
   bool quiet = false;
   bool have_shard = false;
   ShardSpec shard;
@@ -143,8 +138,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       have_shard = true;
-    } else if (arg == "--stream") {
-      stream = true;
     } else if (const ExploreFlag* f = explore_flag_arg(arg)) {
       std::string error;
       if (!addm::core::apply_explore_option(opt.explore, f->name,
@@ -215,19 +208,9 @@ int main(int argc, char** argv) {
     }
     for (std::size_t i = begin; i < end && i < suite.size(); ++i)
       traces.push_back(std::move(suite[i]));
-    // --stream swaps the materializing file reader for the chunked
-    // TraceReader; both produce identical AddressTraces (differential-
-    // tested), so the choice is pure scheduling and not fingerprinted.
-    auto read_file = [&](const std::string& f) {
-      if (!stream) return addm::seq::read_trace_file(f);
-      std::ifstream in(f, std::ios::binary);
-      if (!in) throw std::runtime_error("cannot open trace file: " + f);
-      addm::seq::TraceReader reader(in);
-      return reader.read_all();
-    };
     for (std::size_t i = std::max(begin, suite.size()); i < end; ++i) {
       const std::string& f = files[i - suite.size()];
-      auto t = read_file(f);
+      auto t = addm::seq::read_trace_file(f);
       if (t.name().empty())
         t.set_name(std::filesystem::path(f).stem().string());
       traces.push_back(std::move(t));
