@@ -476,32 +476,6 @@ std::vector<EvalCacheEntry> EvalCacheDir::load_all(EvalCacheLoadStats* stats) co
   return entries;
 }
 
-std::vector<EvalCacheEntry> EvalCacheDir::load_matching(
-    std::uint64_t options_hash, EvalCacheLoadStats* stats) const {
-  EvalCacheLoadStats local;
-  std::vector<EvalCacheEntry> entries;
-  const fs::path dir(dir_);
-  IndexData idx = read_index(dir);
-  local.skipped += idx.damage;
-  std::vector<EvalCacheKey> keys =
-      index_readable(idx) ? std::move(idx.keys) : std::vector<EvalCacheKey>{};
-  std::sort(keys.begin(), keys.end(), key_less);
-  for (const EvalCacheKey& key : keys) {
-    if (key.options_hash != options_hash) continue;
-    std::string text;
-    EvalCacheEntry entry;
-    if (!read_payload(dir / entry_filename(key), text) ||
-        !parse_eval_entry(text, entry) || !(entry.key == key)) {
-      ++local.skipped;
-      continue;
-    }
-    ++local.loaded;
-    entries.push_back(std::move(entry));
-  }
-  if (stats) *stats = local;
-  return entries;
-}
-
 bool EvalCacheDir::load_entry(const EvalCacheKey& key, EvalCacheEntry& out) const {
   std::string text;
   EvalCacheEntry entry;

@@ -23,7 +23,7 @@
 //    exception: they rewrite the index and delete files, so they assume no
 //    concurrent writer.
 //
-// Determinism contract: load_matching returns entries sorted by key, entry
+// Determinism contract: load_all returns entries sorted by key, entry
 // serialization is canonical, and compact/prune/merge all reduce a directory
 // to one canonical form (sorted index, combined metadata, exactly one file
 // per surviving entry), so compacting merged shard caches and merging
@@ -125,12 +125,6 @@ class EvalCacheDir {
   /// Loads every valid entry listed in the index, sorted by key.  Invalid
   /// content is counted in `stats->skipped` and otherwise ignored.
   std::vector<EvalCacheEntry> load_all(EvalCacheLoadStats* stats = nullptr) const;
-
-  /// Like load_all but keeps only entries whose options hash equals
-  /// `options_hash` (entries for other option sets are not counted as
-  /// skipped — they are simply out of scope).
-  std::vector<EvalCacheEntry> load_matching(std::uint64_t options_hash,
-                                            EvalCacheLoadStats* stats = nullptr) const;
 
   /// Probes one key directly (the entry filename is derived from it), so
   /// readers that already know their keys pay O(1) per lookup instead of

@@ -7,18 +7,32 @@
 namespace addm::seq {
 namespace {
 
-// KMP failure function: fail[i] = length of the longest proper border of
-// s[0..i].  Shared by the batch rebuild (after an unlock) and the reversed
-// prefix-trim scan in finish().
+// One KMP step: fail[i] (the length of the longest proper border of
+// s[0..i]) from fail[0..i).
+std::size_t next_border(const std::vector<std::uint32_t>& s,
+                        const std::vector<std::size_t>& fail, std::size_t i) {
+  std::size_t k = fail[i - 1];
+  while (k > 0 && s[i] != s[k]) k = fail[k - 1];
+  return s[i] == s[k] ? k + 1 : k;
+}
+
 std::vector<std::size_t> failure_function(const std::vector<std::uint32_t>& s) {
   std::vector<std::size_t> fail(s.size(), 0);
-  for (std::size_t i = 1; i < s.size(); ++i) {
-    std::size_t k = fail[i - 1];
-    while (k > 0 && s[i] != s[k]) k = fail[k - 1];
-    if (s[i] == s[k]) ++k;
-    fail[i] = k;
-  }
+  for (std::size_t i = 1; i < s.size(); ++i) fail[i] = next_border(s, fail, i);
   return fail;
+}
+
+// Smallest period p of the shortest prefix a[0..i] that holds two passes
+// of it (2p <= i+1), or 0 if no prefix does.  Grows the failure function
+// only as far as that prefix.
+std::size_t first_locked_period(const std::vector<std::uint32_t>& a) {
+  std::vector<std::size_t> fail(1, 0);
+  for (std::size_t i = 1; i < a.size(); ++i) {
+    fail.push_back(next_border(a, fail, i));
+    const std::size_t p = i + 1 - fail[i];
+    if (2 * p <= i + 1) return p;
+  }
+  return 0;
 }
 
 }  // namespace
@@ -36,128 +50,45 @@ AddressTrace CompressedTrace::expand() const {
   return AddressTrace(geometry, std::move(linear), name);
 }
 
-void StreamingCompressor::push(std::uint32_t addr) {
-  if (locked_) {
-    const std::size_t p = buf_.size();
-    if (buf_[count_ % p] == addr) {
-      ++count_;
-      return;
-    }
-    // Period broken: the stream so far is exactly known (cyclic expansion of
-    // the locked period), so rebuild the growing-mode state and continue.
-    std::vector<std::uint32_t> full;
-    full.reserve(count_ + 1);
-    for (std::size_t i = 0; i < count_; ++i) full.push_back(buf_[i % p]);
-    buf_ = std::move(full);
-    fail_ = failure_function(buf_);
-    locked_ = false;
-  }
-  buf_.push_back(addr);
-  ++count_;
-  const std::size_t i = buf_.size() - 1;
-  if (i == 0) {
-    fail_.push_back(0);
-  } else {
-    std::size_t k = fail_[i - 1];
-    while (k > 0 && buf_[i] != buf_[k]) k = fail_[k - 1];
-    if (buf_[i] == buf_[k]) ++k;
-    fail_.push_back(k);
-  }
-  relock_if_profitable();
-}
-
-void StreamingCompressor::push_span(const std::uint32_t* a, std::size_t n) {
-  const std::uint32_t* const end = a + n;
-  while (a != end) {
-    if (locked_) {
-      const std::uint32_t* period = buf_.data();
-      const std::size_t p = buf_.size();
-      std::size_t phase = count_ % p;
-      const std::uint32_t* const run = a;
-      for (;;) {
-        const std::size_t len = std::min(p - phase, static_cast<std::size_t>(end - a));
-        const std::uint32_t* const stop = std::mismatch(a, a + len, period + phase).first;
-        const bool matched = stop == a + len;
-        a = stop;
-        if (!matched || a == end) break;
-        phase = 0;
-      }
-      count_ += static_cast<std::size_t>(a - run);
-      if (a == end) return;
-    }
-    push(*a++);
-  }
-}
-
-void StreamingCompressor::relock_if_profitable() {
-  const std::size_t n = buf_.size();
-  if (n == 0) return;
-  const std::size_t p = n - fail_[n - 1];
-  // Lock once the smallest period has been observed at least twice: from
-  // here on, only the period is kept and the smallest period of any
-  // consistent extension is provably still p (periods are monotone
-  // non-decreasing under extension and p keeps matching).
-  if (2 * p <= n) {
-    buf_.resize(p);
-    buf_.shrink_to_fit();
-    fail_.clear();
-    fail_.shrink_to_fit();
-    locked_ = true;
-  }
-}
-
-CompressedTrace StreamingCompressor::finish(ArrayGeometry geometry,
-                                            std::string name) const {
+CompressedTrace compress_periodic(const AddressTrace& trace) {
+  const std::vector<std::uint32_t>& a = trace.linear();
+  const std::size_t n = a.size();
   CompressedTrace ct;
-  ct.geometry = geometry;
-  ct.name = std::move(name);
-  if (count_ == 0) return ct;
+  ct.geometry = trace.geometry();
+  ct.name = trace.name();
+  if (n == 0) return ct;
 
-  if (locked_) {
-    const std::size_t p = buf_.size();
-    ct.period = buf_;
-    ct.repeats = count_ / p;
-    ct.tail = count_ % p;
-    return ct;
-  }
-
-  // Growing mode: the whole stream is buffered.  Search every prefix split
-  // q for the cheapest exact factorization; the smallest period of the
-  // suffix s[q..n) equals the smallest period of the corresponding prefix
-  // of the reversed stream (periodicity is reversal-invariant), so one
-  // failure-function pass over the reversal prices all splits.
-  const std::size_t n = buf_.size();
-  std::vector<std::uint32_t> rev(buf_.rbegin(), buf_.rend());
-  const std::vector<std::size_t> fail_rev = failure_function(rev);
+  // Fast path: the first period seen twice covers the whole trace.  Then it
+  // is the trace's smallest period (periods never shrink as a sequence
+  // grows), and by Fine-Wilf no prefix trim can store less than it.
   std::size_t best_q = 0;
-  std::size_t best_p = n - fail_rev[n - 1];  // q == 0: global smallest period
-  for (std::size_t q = 1; q < n; ++q) {
-    const std::size_t m = n - q;
-    const std::size_t p = m - fail_rev[m - 1];
-    if (q + p < best_q + best_p) {
-      best_q = q;
-      best_p = p;
+  std::size_t best_p = first_locked_period(a);
+  const auto shift = static_cast<std::ptrdiff_t>(best_p);
+  if (best_p == 0 || !std::equal(a.begin() + shift, a.end(), a.begin())) {
+    // Search every prefix split q for the cheapest exact factorization; the
+    // smallest period of the suffix a[q..n) equals the smallest period of
+    // the corresponding prefix of the reversed trace (periodicity is
+    // reversal-invariant), so one failure-function pass over the reversal
+    // prices all splits.  Ties keep the earliest split, so when nothing
+    // saves, q == 0 and p == n: the canonical uncompressed form.
+    const std::vector<std::uint32_t> rev(a.rbegin(), a.rend());
+    const std::vector<std::size_t> fail_rev = failure_function(rev);
+    best_p = n - fail_rev[n - 1];  // q == 0: global smallest period
+    for (std::size_t q = 1; q < n; ++q) {
+      const std::size_t m = n - q;
+      const std::size_t p = m - fail_rev[m - 1];
+      if (q + p < best_q + best_p) {
+        best_q = q;
+        best_p = p;
+      }
     }
   }
-  if (best_q + best_p == n) {
-    // No savings anywhere: canonical uncompressed form.
-    ct.period = buf_;
-    ct.repeats = 1;
-    ct.tail = 0;
-    return ct;
-  }
-  ct.prefix.assign(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(best_q));
-  ct.period.assign(buf_.begin() + static_cast<std::ptrdiff_t>(best_q),
-                   buf_.begin() + static_cast<std::ptrdiff_t>(best_q + best_p));
+  const auto q = a.begin() + static_cast<std::ptrdiff_t>(best_q);
+  ct.prefix.assign(a.begin(), q);
+  ct.period.assign(q, q + static_cast<std::ptrdiff_t>(best_p));
   ct.repeats = (n - best_q) / best_p;
   ct.tail = (n - best_q) % best_p;
   return ct;
-}
-
-CompressedTrace compress_periodic(const AddressTrace& trace) {
-  StreamingCompressor sc;
-  sc.push_span(trace.linear().data(), trace.linear().size());
-  return sc.finish(trace.geometry(), trace.name());
 }
 
 namespace {

@@ -14,14 +14,12 @@
 // period instead of the whole trace, making cost scale with the period
 // rather than the trace length.
 //
-// Two entry points share one implementation:
-//  * compress_periodic(trace)  — batch, for materialized traces;
-//  * StreamingCompressor       — push() one address (or push_span() a run
-//    of addresses) at a time.  Once a
-//    period has been observed twice it holds only the period (O(period)
-//    memory) and verifies subsequent addresses against it in O(1); an
-//    aperiodic stream degrades to buffering everything, which is the
-//    information-theoretic floor for exact compression.
+// compress_periodic finds the factorization that stores the fewest elements
+// (prefix + one period), preferring the shortest prefix on ties.  Loop-nest
+// traces take a fast path: the first period seen twice is checked against
+// the whole trace in one pass.  Anything else prices every prefix split with
+// one failure-function pass over the reversed trace, and falls back to the
+// canonical uncompressed form when nothing saves.
 //
 // When the period is an affine loop-nest enumeration, recover_loop_nest
 // reconstructs the seq::LoopNest + AffineAccess formulation (one or two
@@ -74,49 +72,9 @@ struct CompressedTrace {
   AddressTrace expand() const;
 };
 
-/// Online exact compressor.  Feed addresses with push(), then finish().
-///
-/// Internally this is an incremental smallest-period computation (KMP
-/// failure function): while the stream is still aperiodic the whole prefix
-/// is buffered ("growing" mode); as soon as the smallest period p of the
-/// data seen so far has been observed at least twice, the buffer shrinks to
-/// one period ("locked" mode, O(p) memory) and each further address costs
-/// one comparison.  A mismatch while locked falls back to growing mode by
-/// re-expanding the (exactly known) prefix — correctness is never at risk,
-/// only memory.  finish() additionally searches for the cheapest
-/// prefix-trimmed factorization when the stream never locked, so warm-up
-/// accesses ahead of a periodic kernel do not defeat compression.
-class StreamingCompressor {
- public:
-  void push(std::uint32_t addr);
-  /// Same result as push() on each of a[0..n).  While locked, whole runs
-  /// are compared against the period with a running phase, and the first
-  /// mismatch goes through push().
-  void push_span(const std::uint32_t* a, std::size_t n);
-  /// Addresses pushed so far.
-  std::size_t count() const { return count_; }
-  /// Elements currently buffered — O(period) in locked mode; the memory
-  /// claim the tests pin.
-  std::size_t buffered() const { return buf_.size(); }
-  /// True once the compressor holds only one period.
-  bool locked() const { return locked_; }
-
-  /// Produces the factorization of everything pushed so far.  The
-  /// compressor is left in a valid state (more pushes may follow, and a
-  /// later finish() reflects them).
-  CompressedTrace finish(ArrayGeometry geometry, std::string name = {}) const;
-
- private:
-  std::vector<std::uint32_t> buf_;   ///< growing: whole prefix; locked: one period
-  std::vector<std::size_t> fail_;    ///< KMP failure function (growing mode only)
-  std::size_t count_ = 0;
-  bool locked_ = false;
-
-  void relock_if_profitable();
-};
-
-/// Batch factorization: feeds `trace` through a StreamingCompressor.  Exact
-/// for every input; O(length) time, O(length) transient memory.
+/// Batch factorization over trace.linear(): the cheapest exact
+/// prefix + repeats x period + suffix (ties keep the shortest prefix).
+/// Exact for every input; O(length) time and transient memory.
 CompressedTrace compress_periodic(const AddressTrace& trace);
 
 /// A period re-expressed as counted loops + affine row/column access.

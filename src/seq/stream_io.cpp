@@ -242,46 +242,12 @@ void TraceLineParser::finish(bool any_addresses) const {
 TraceReader::TraceReader(std::istream& in, std::size_t chunk_bytes)
     : lines_(in, chunk_bytes) {}
 
-bool TraceReader::next(std::uint32_t& addr) {
-  while (queue_pos_ >= queue_.size()) {
-    queue_.clear();
-    queue_pos_ = 0;
-    if (!lines_.fetch()) {
-      parser_.finish(delivered_ > 0);
-      return false;
-    }
-    parser_.line(lines_.line(), ++line_no_, queue_);
-  }
-  addr = queue_[queue_pos_++];
-  ++delivered_;
-  return true;
-}
-
 AddressTrace TraceReader::read_all() {
-  // Addresses queued by an earlier next() come first; every further line is
-  // parsed straight into the result.
-  std::vector<std::uint32_t> addrs(queue_.begin() + static_cast<std::ptrdiff_t>(queue_pos_),
-                                   queue_.end());
-  queue_.clear();
-  queue_pos_ = 0;
-  while (lines_.fetch()) parser_.line(lines_.line(), ++line_no_, addrs);
-  delivered_ += addrs.size();
-  parser_.finish(delivered_ > 0);
-  return AddressTrace(geometry(), std::move(addrs), name());
-}
-
-CompressedTrace read_trace_compressed(std::istream& in, std::size_t chunk_bytes) {
-  TraceReader reader(in, chunk_bytes);
-  StreamingCompressor sc;
-  std::uint32_t a = 0;
-  while (reader.next(a)) sc.push(a);
-  return sc.finish(reader.geometry(), reader.name());
-}
-
-CompressedTrace read_trace_compressed_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open trace file: " + path);
-  return read_trace_compressed(in);
+  std::vector<std::uint32_t> addrs;
+  std::size_t line_no = 0;
+  while (lines_.fetch()) parser_.line(lines_.line(), ++line_no, addrs);
+  parser_.finish(!addrs.empty());
+  return AddressTrace(parser_.geometry(), std::move(addrs), parser_.name());
 }
 
 namespace {

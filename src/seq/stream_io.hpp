@@ -1,11 +1,12 @@
 // Trace ingestion: the one reader of the trace text format.
 //
 //  * TraceReader — a chunked, single-pass reader (memory: one I/O chunk
-//    plus the longest line, on top of what the caller keeps).  read_all()
-//    parses every line straight into the materialized trace; next() pulls
-//    one address at a time.  seq::read_trace / read_trace_string /
-//    read_trace_file (seq/trace_io.hpp) are thin wrappers over read_all(),
-//    so every tool and the daemon share this path.
+//    plus the longest line, on top of the trace it returns).  read_all()
+//    parses every line straight into the materialized trace.
+//    seq::read_trace / read_trace_string / read_trace_file
+//    (seq/trace_io.hpp) are thin wrappers over it, so every tool and the
+//    daemon share this path; periodicity compression runs afterwards, on
+//    the materialized trace (seq/periodicity.hpp).
 //  * The tokenizer (detail::TraceLineParser) makes one pass per line driven
 //    by a constexpr byte-class table: C-locale whitespace, digits, and '#',
 //    which ends the line's tokens wherever it appears.  Address tokens of up
@@ -16,9 +17,6 @@
 //    bits (width and height each below 2^32, width x height at most 2^32).
 //    Grammar and error strings are differential-tested against a test-only
 //    reference parser, and fuzzed.
-//  * read_trace_compressed — TraceReader feeding a
-//    seq::StreamingCompressor, so a periodic million-access file is read in
-//    O(period) memory and returned already factored.
 //  * import_lackey — converts valgrind/lackey-style recorded memory logs
 //    ("I/L/S/M hexaddr,size" lines) into address traces over a declared
 //    array geometry, the entry point for real recorded workloads
@@ -31,7 +29,6 @@
 #include <string_view>
 #include <vector>
 
-#include "seq/periodicity.hpp"
 #include "seq/trace.hpp"
 
 namespace addm::seq {
@@ -99,13 +96,7 @@ class TraceLineParser {
 
 }  // namespace detail
 
-/// Incremental reader for the trace text format (see seq/trace_io.hpp).
-///
-/// Pull addresses with next(); geometry() is valid as soon as next() has
-/// returned true (addresses cannot precede the directive), name() and the
-/// end-of-input validation are final once next() has returned false.
-/// next() throws std::invalid_argument on malformed input — including, on
-/// exhaustion, the "missing geometry" / "no addresses" checks.
+/// Chunked reader for the trace text format (see seq/trace_io.hpp).
 class TraceReader {
  public:
   static constexpr std::size_t kDefaultChunkBytes = 64 * 1024;
@@ -115,36 +106,16 @@ class TraceReader {
   explicit TraceReader(std::istream& in,
                        std::size_t chunk_bytes = kDefaultChunkBytes);
 
-  /// Stores the next address and returns true, or returns false at a valid
-  /// end of input.
-  bool next(std::uint32_t& addr);
-
-  const ArrayGeometry& geometry() const { return parser_.geometry(); }
-  const std::string& name() const { return parser_.name(); }
-  /// Addresses returned by next() so far.
-  std::size_t delivered() const { return delivered_; }
-
-  /// Drains the remaining stream into a materialized trace, parsing each
-  /// line straight into it.  read_trace is this call.
+  /// Reads the whole stream into a materialized trace, parsing each line
+  /// straight into it.  Throws std::invalid_argument with line-numbered
+  /// messages on malformed input, including the end-of-input "missing
+  /// geometry" / "no addresses" checks.  read_trace is this call.
   AddressTrace read_all();
 
  private:
   detail::LineSplitter lines_;
   detail::TraceLineParser parser_;
-  std::vector<std::uint32_t> queue_;
-  std::size_t queue_pos_ = 0;
-  std::size_t line_no_ = 0;
-  std::size_t delivered_ = 0;
 };
-
-/// Reads a trace file/stream through TraceReader + StreamingCompressor:
-/// peak memory is one chunk + one line + the compressor state (O(period)
-/// on periodic input) instead of the full trace.  The factorization is
-/// exactly compress_periodic(read_trace(...)) without ever materializing
-/// the trace.  File errors match read_trace_file.
-CompressedTrace read_trace_compressed(
-    std::istream& in, std::size_t chunk_bytes = TraceReader::kDefaultChunkBytes);
-CompressedTrace read_trace_compressed_file(const std::string& path);
 
 /// Import options for valgrind/lackey-style memory logs.
 struct LackeyImportOptions {

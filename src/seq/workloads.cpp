@@ -11,6 +11,12 @@ namespace {
 std::uint32_t lin(const ArrayGeometry& g, std::size_t row, std::size_t col) {
   return static_cast<std::uint32_t>(row * g.width + col);
 }
+
+void require_suite_geometry(ArrayGeometry g) {
+  if (g.width < 4 || g.height < 4 || g.width % 2 != 0 || g.height % 2 != 0)
+    throw std::invalid_argument(
+        "standard_suite: geometry must be even and at least 4x4");
+}
 }  // namespace
 
 void MotionEstimationParams::check() const {
@@ -124,9 +130,7 @@ AddressTrace repeat_each(const AddressTrace& t, std::size_t repeat) {
 }
 
 std::vector<AddressTrace> standard_suite(ArrayGeometry g) {
-  if (g.width < 4 || g.height < 4 || g.width % 2 != 0 || g.height % 2 != 0)
-    throw std::invalid_argument(
-        "standard_suite: geometry must be even and at least 4x4");
+  require_suite_geometry(g);
   const std::string suffix =
       "_" + std::to_string(g.width) + "x" + std::to_string(g.height);
 
@@ -161,15 +165,24 @@ std::vector<AddressTrace> standard_suite(ArrayGeometry g) {
 }
 
 std::vector<AddressTrace> scaled_suite(ArrayGeometry base, std::size_t scales) {
+  // Every geometry is checked before any trace is generated, so an oversized
+  // request fails fast instead of attempting multi-GB allocations.  Doubling
+  // keeps a valid base valid, and an addressable side is below 2^32, so the
+  // doubling cannot overflow and the loop ends after at most 64 geometries.
+  require_suite_geometry(base);
+  std::vector<ArrayGeometry> geometries;
+  for (ArrayGeometry g = base; geometries.size() < scales;) {
+    if (!addressable(g))
+      throw std::invalid_argument("suite geometry " + std::to_string(g.width) + "x" +
+                                  std::to_string(g.height) +
+                                  " is too large (at most 2^32 cells, each side below 2^32)");
+    geometries.push_back(g);
+    (geometries.size() % 2 == 1 ? g.width : g.height) *= 2;
+  }
   std::vector<AddressTrace> all;
-  ArrayGeometry g = base;
-  for (std::size_t s = 0; s < scales; ++s) {
+  for (const ArrayGeometry& g : geometries) {
     auto suite = standard_suite(g);
     std::move(suite.begin(), suite.end(), std::back_inserter(all));
-    if (s % 2 == 0)
-      g.width *= 2;
-    else
-      g.height *= 2;
   }
   return all;
 }

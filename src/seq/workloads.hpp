@@ -74,7 +74,9 @@ std::vector<AddressTrace> standard_suite(ArrayGeometry g);
 
 /// standard_suite over `scales` doubling geometries starting at `base`
 /// (base, then 2x width, then 2x height, alternating) — the batch
-/// explorer's stock multi-trace workload.
+/// explorer's stock multi-trace workload.  Throws std::invalid_argument,
+/// before generating any trace, if `base` fails standard_suite's
+/// requirement or any of the geometries is not addressable().
 std::vector<AddressTrace> scaled_suite(ArrayGeometry base, std::size_t scales);
 
 }  // namespace addm::seq

@@ -1,16 +1,17 @@
-// Tests for exact periodicity compression: factorization shapes, streaming
-// memory behavior (lock/unlock), batch==streaming agreement, and affine
-// loop-nest recovery.
+// Tests for exact periodicity compression: factorization shapes, agreement
+// with the brute-force reference (tests/periodicity_reference.hpp) on
+// randomized and adversarial traces, and affine loop-nest recovery.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "seq/analysis.hpp"
 #include "seq/periodicity.hpp"
 #include "seq/workloads.hpp"
+#include "periodicity_reference.hpp"
 
 namespace addm::seq {
 namespace {
@@ -106,112 +107,98 @@ TEST(Periodicity, PeriodMatchesSmallestPeriodOnPureTraces) {
   EXPECT_EQ(ct.period.size(), smallest_period(a));
 }
 
-TEST(StreamingCompressor, LocksToPeriodMemory) {
-  const std::vector<std::uint32_t> period{0, 1, 2, 3, 8, 9, 10, 11};
-  StreamingCompressor sc;
-  for (std::size_t r = 0; r < 1000; ++r)
-    for (std::uint32_t v : period) sc.push(v);
-  EXPECT_TRUE(sc.locked());
-  // The memory claim: after locking, only one period is held, no matter how
-  // long the stream runs.
-  EXPECT_EQ(sc.buffered(), period.size());
-  EXPECT_EQ(sc.count(), 8000u);
-  const CompressedTrace ct = sc.finish({8, 8});
-  EXPECT_EQ(ct.period, period);
-  EXPECT_EQ(ct.repeats, 1000u);
+// compress_periodic equals the brute-force reference and expands back to
+// its input.
+void expect_matches_reference(const std::vector<std::uint32_t>& a,
+                              const std::string& what) {
+  const AddressTrace t(ArrayGeometry{8, 8}, a, "r");
+  const CompressedTrace got = compress_periodic(t);
+  const CompressedTrace want = reference::compress_periodic(t);
+  EXPECT_TRUE(reference::same_factorization(got, want))
+      << what << ": got prefix " << got.prefix.size() << " period " << got.period.size()
+      << " x" << got.repeats << " tail " << got.tail << ", want prefix "
+      << want.prefix.size() << " period " << want.period.size() << " x" << want.repeats
+      << " tail " << want.tail;
+  EXPECT_EQ(got.expand().linear(), a) << what;
 }
 
-TEST(StreamingCompressor, UnlocksOnMismatchWithoutLosingData) {
-  StreamingCompressor sc;
-  std::vector<std::uint32_t> fed;
-  const auto feed = [&](std::uint32_t v) {
-    sc.push(v);
-    fed.push_back(v);
-  };
-  for (std::size_t r = 0; r < 50; ++r)
-    for (std::uint32_t v : {1u, 2u, 3u}) feed(v);
-  ASSERT_TRUE(sc.locked());
-  feed(9);  // break the period mid-stream
-  for (std::uint32_t v : {1u, 2u, 3u, 5u}) feed(v);
-  const CompressedTrace ct = sc.finish({8, 8});
-  EXPECT_EQ(ct.expand().linear(), fed);
-}
-
-TEST(StreamingCompressor, FinishIsNonDestructive) {
-  StreamingCompressor sc;
-  for (std::uint32_t v : tile({4, 5}, 3)) sc.push(v);
-  const CompressedTrace first = sc.finish({8, 8});
-  EXPECT_EQ(first.repeats, 3u);
-  for (std::uint32_t v : {4u, 5u}) sc.push(v);
-  const CompressedTrace second = sc.finish({8, 8});
-  EXPECT_EQ(second.repeats, 4u);
-  EXPECT_EQ(second.period, first.period);
-}
-
-TEST(StreamingCompressor, AgreesWithBatchOnArbitraryInput) {
-  // compress_periodic is defined as the streaming compressor fed in order,
-  // so any divergence here is a determinism bug.
-  const auto t = zigzag({8, 8});
-  StreamingCompressor sc;
-  for (std::uint32_t v : t.linear()) sc.push(v);
-  const CompressedTrace a = sc.finish(t.geometry(), t.name());
-  const CompressedTrace b = compress_periodic(t);
-  EXPECT_EQ(a.prefix, b.prefix);
-  EXPECT_EQ(a.period, b.period);
-  EXPECT_EQ(a.repeats, b.repeats);
-  EXPECT_EQ(a.tail, b.tail);
-}
-
-TEST(StreamingCompressor, PushSpanMatchesPerAddressPush) {
-  // Periodic stretches broken by noise: the compressor locks, unlocks on the
-  // break and relocks, and spans of random length cut across every phase.
-  std::mt19937 rng(4242);
-  const ArrayGeometry g{8, 8};
-  int relocked_trials = 0;
-  for (int trial = 0; trial < 300; ++trial) {
-    std::vector<std::uint32_t> a;
-    const int segments = 1 + static_cast<int>(rng() % 4);
-    for (int s = 0; s < segments; ++s) {
-      std::vector<std::uint32_t> period(1 + rng() % 9);
-      for (auto& v : period) v = rng() % 5;
-      const std::size_t len = rng() % 120;
-      for (std::size_t i = 0; i < len; ++i) a.push_back(period[i % period.size()]);
-      for (std::size_t i = rng() % 3; i > 0; --i) a.push_back(rng() % 64);
-    }
-    StreamingCompressor one, span;
-    std::size_t locks = 0;
-    for (std::size_t i = 0; i < a.size();) {
-      const std::size_t n = std::min<std::size_t>(a.size() - i, rng() % 40);
-      for (std::size_t k = i; k < i + n; ++k) {
-        const bool was_locked = one.locked();
-        one.push(a[k]);
-        locks += !was_locked && one.locked();
-      }
-      span.push_span(a.data() + i, n);
-      i += n;
-      ASSERT_EQ(span.count(), one.count()) << "trial " << trial;
-      ASSERT_EQ(span.locked(), one.locked()) << "trial " << trial << " at " << i;
-      ASSERT_EQ(span.buffered(), one.buffered()) << "trial " << trial << " at " << i;
-    }
-    const CompressedTrace x = one.finish(g, "t"), y = span.finish(g, "t");
-    EXPECT_EQ(y.prefix, x.prefix) << "trial " << trial;
-    EXPECT_EQ(y.period, x.period) << "trial " << trial;
-    EXPECT_EQ(y.repeats, x.repeats) << "trial " << trial;
-    EXPECT_EQ(y.tail, x.tail) << "trial " << trial;
-    relocked_trials += locks >= 2;
-  }
-  EXPECT_GT(relocked_trials, 20);
-  // Explicit lock -> break -> relock through one span.
-  std::vector<std::uint32_t> a;
-  for (int r = 0; r < 6; ++r) a.insert(a.end(), {1, 2, 3});
+TEST(Periodicity, MatchesBruteForceReferenceOnAdversarialShapes) {
+  expect_matches_reference({}, "empty");
+  expect_matches_reference({5}, "one address");
+  expect_matches_reference({5, 5}, "two equal");
+  expect_matches_reference({5, 6}, "two distinct");
+  expect_matches_reference(zigzag({8, 8}).linear(), "zigzag");
+  // A long pure trace: locks once and never breaks.
+  expect_matches_reference(tile({0, 1, 2, 3, 8, 9, 10, 11}, 1000), "1000 passes");
+  // Locked on {1,2,3}, broken by one address, then a different tail.
+  std::vector<std::uint32_t> a = tile({1, 2, 3}, 50);
+  a.push_back(9);
+  a.insert(a.end(), {1, 2, 3, 5});
+  expect_matches_reference(a, "lock then break");
+  // Lock -> break -> relock on the same period.
+  a = tile({1, 2, 3}, 6);
   a.push_back(7);
-  for (int r = 0; r < 6; ++r) a.insert(a.end(), {1, 2, 3});
-  StreamingCompressor one, span;
-  for (std::uint32_t v : a) one.push(v);
-  span.push_span(a.data(), a.size());
-  EXPECT_EQ(span.finish(g).period, one.finish(g).period);
-  EXPECT_EQ(span.finish(g).prefix, one.finish(g).prefix);
-  EXPECT_EQ(span.buffered(), one.buffered());
+  const auto again = tile({1, 2, 3}, 6);
+  a.insert(a.end(), again.begin(), again.end());
+  expect_matches_reference(a, "lock, break, relock");
+  // Warm-up prefix that itself looks periodic before the real period.
+  a = {4, 4, 4};
+  const auto body = tile({0, 1, 2}, 9, 2);
+  a.insert(a.end(), body.begin(), body.end());
+  expect_matches_reference(a, "periodic warm-up");
+  // A single break at the very end of a long periodic run.
+  a = tile({3, 1}, 200);
+  a.back() = 7;
+  expect_matches_reference(a, "late break");
+}
+
+TEST(Periodicity, MatchesBruteForceReferenceOnRandomTraces) {
+  std::mt19937 rng(4242);
+  for (int trial = 0; trial < 3000; ++trial) {
+    std::vector<std::uint32_t> a;
+    const std::string what = "trial " + std::to_string(trial);
+    switch (trial % 4) {
+      case 0: {
+        // Small alphabets make accidental periods likely.
+        const std::uint32_t alphabet = 1 + rng() % 4;
+        a.resize(rng() % 121);
+        for (auto& v : a) v = rng() % alphabet;
+        break;
+      }
+      case 1: {
+        // Periodic stretches broken by noise: a period is seen twice, then
+        // broken, then a new one is seen twice.
+        const int segments = 1 + static_cast<int>(rng() % 4);
+        for (int s = 0; s < segments; ++s) {
+          std::vector<std::uint32_t> period(1 + rng() % 9);
+          for (auto& v : period) v = rng() % 5;
+          const std::size_t len = rng() % 120;
+          for (std::size_t i = 0; i < len; ++i) a.push_back(period[i % period.size()]);
+          for (std::size_t i = rng() % 3; i > 0; --i) a.push_back(rng() % 64);
+        }
+        break;
+      }
+      case 2: {
+        // Warm-up prefix + k x period + partial tail.
+        std::vector<std::uint32_t> period(1 + rng() % 12);
+        for (auto& v : period) v = rng() % 6;
+        for (std::size_t i = rng() % 6; i > 0; --i) a.push_back(rng() % 6);
+        const auto body = tile(period, 1 + rng() % 15, rng() % period.size());
+        a.insert(a.end(), body.begin(), body.end());
+        break;
+      }
+      default: {
+        // One address changed anywhere in a periodic trace.
+        std::vector<std::uint32_t> period(1 + rng() % 8);
+        for (auto& v : period) v = rng() % 4;
+        a = tile(period, 2 + rng() % 20, rng() % period.size());
+        a[rng() % a.size()] = rng() % 64;
+        break;
+      }
+    }
+    expect_matches_reference(a, what);
+    if (HasFailure()) return;
+  }
 }
 
 TEST(RecoverLoopNest, RasterPeriodBecomesTwoLoops) {

@@ -2,6 +2,9 @@
 // analysis primitives (D/R/U/O/Z building blocks) and workload generators.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "seq/analysis.hpp"
 #include "seq/trace.hpp"
 #include "seq/workloads.hpp"
@@ -190,6 +193,34 @@ TEST(Workloads, GeneratorsProduceValidTraces) {
     EXPECT_EQ(block_raster(g, 8, 8).length(), dim * dim);
     EXPECT_EQ(strided(g, 3).length(), dim * dim);
   }
+}
+
+TEST(Workloads, ScaledSuiteDoublesWidthThenHeight) {
+  const auto suite = scaled_suite({8, 8}, 3);
+  ASSERT_EQ(suite.size(), 3 * standard_suite({8, 8}).size());
+  EXPECT_EQ(suite.front().geometry(), (ArrayGeometry{8, 8}));
+  EXPECT_EQ(suite.back().geometry(), (ArrayGeometry{16, 16}));
+}
+
+// An oversized suite is refused before any trace is generated, so it never
+// reaches multi-GB allocations.
+TEST(Workloads, ScaledSuiteRejectsUnaddressableGeometryUpFront) {
+  const auto message = [](ArrayGeometry base, std::size_t scales) -> std::string {
+    try {
+      scaled_suite(base, scales);
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  EXPECT_EQ(message({65536, 65538}, 1),
+            "suite geometry 65536x65538 is too large (at most 2^32 cells, each side "
+            "below 2^32)");
+  // 8x8 doubled 27 times is the first geometry past 2^32 cells.
+  EXPECT_EQ(message({8, 8}, 64),
+            "suite geometry 131072x65536 is too large (at most 2^32 cells, each side "
+            "below 2^32)");
+  EXPECT_EQ(message({6, 5}, 2), "standard_suite: geometry must be even and at least 4x4");
 }
 
 }  // namespace

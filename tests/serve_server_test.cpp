@@ -293,6 +293,28 @@ TEST(ServeServer, OversizedInlineGeometryIsAnIoErrorNotACrash) {
   EXPECT_EQ(result.body, offline_report(seq::scaled_suite({8, 8}, 1), {}));
 }
 
+TEST(ServeServer, OversizedSuiteIsAnIoErrorNotAnAllocation) {
+  // An unaddressable suite base is refused before any trace is generated,
+  // so the request cannot send the daemon into multi-GB allocations.
+  TestServer ts;
+  ServeClient client = ts.connect();
+  std::string error;
+  ExploreRequest req = suite_request(1);
+  req.suite_base = {65536, 65538};
+  ServeClient::Result result;
+  ASSERT_TRUE(client.explore(req, result, error)) << error;
+  EXPECT_FALSE(result.ok);
+  EXPECT_EQ(result.error.code, "io");
+  EXPECT_NE(result.error.message.find("suite geometry 65536x65538 is too large"),
+            std::string::npos)
+      << result.error.message;
+
+  // The daemon then serves the next request on the same connection.
+  ASSERT_TRUE(client.explore(suite_request(), result, error)) << error;
+  ASSERT_TRUE(result.ok) << result.error.message;
+  EXPECT_EQ(result.body, offline_report(seq::scaled_suite({8, 8}, 1), {}));
+}
+
 TEST(ServeServer, GarbageAndDisconnectsNeverKillTheDaemon) {
   TestServer ts;
   {

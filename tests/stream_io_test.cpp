@@ -1,9 +1,8 @@
 // Tests for the trace reader (chunk-boundary handling, output and error
-// parity with the test-only reference parser), the compressed-read
-// convenience, and the valgrind/lackey log importer.
+// parity with the test-only reference parser) and the valgrind/lackey log
+// importer.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -21,28 +20,6 @@ AddressTrace stream_read(const std::string& text, std::size_t chunk) {
   std::istringstream in(text);
   TraceReader reader(in, chunk);
   return reader.read_all();
-}
-
-TEST(TraceReader, ReadsIncrementally) {
-  std::istringstream in("geometry 4 4\nname inc\n0 1 2\n3 4\n");
-  TraceReader reader(in);
-  std::uint32_t a = 0;
-  std::vector<std::uint32_t> got;
-  while (reader.next(a)) got.push_back(a);
-  EXPECT_EQ(got, (std::vector<std::uint32_t>{0, 1, 2, 3, 4}));
-  EXPECT_EQ(reader.geometry(), (ArrayGeometry{4, 4}));
-  EXPECT_EQ(reader.name(), "inc");
-  EXPECT_EQ(reader.delivered(), 5u);
-  EXPECT_FALSE(reader.next(a));  // stays exhausted
-}
-
-TEST(TraceReader, GeometryKnownAfterFirstAddress) {
-  std::istringstream in("geometry 8 2\n7\n");
-  TraceReader reader(in);
-  std::uint32_t a = 0;
-  ASSERT_TRUE(reader.next(a));
-  EXPECT_EQ(a, 7u);
-  EXPECT_EQ(reader.geometry(), (ArrayGeometry{8, 2}));
 }
 
 TEST(TraceReader, EveryChunkSizeProducesTheSameTrace) {
@@ -121,16 +98,6 @@ TEST(TraceReader, GeometryBeyond32BitsIsALineNumberedError) {
             (std::vector<std::uint32_t>{4294967294u}));
 }
 
-TEST(TraceReader, ReadAllAfterNextReturnsTheRest) {
-  std::istringstream in("geometry 4 4\n0 1 2\n3 4\n");
-  TraceReader reader(in, 2);
-  std::uint32_t a = 0;
-  ASSERT_TRUE(reader.next(a));
-  EXPECT_EQ(a, 0u);
-  EXPECT_EQ(reader.read_all().linear(), (std::vector<std::uint32_t>{1, 2, 3, 4}));
-  EXPECT_EQ(reader.delivered(), 5u);
-}
-
 TEST(TraceReader, MatchesReadTraceOnGeneratedSuite) {
   for (const auto& t : standard_suite({8, 8})) {
     const std::string text = write_trace_string(t);
@@ -138,37 +105,6 @@ TEST(TraceReader, MatchesReadTraceOnGeneratedSuite) {
     EXPECT_EQ(got.linear(), t.linear()) << t.name();
     EXPECT_EQ(got.name(), t.name());
   }
-}
-
-TEST(ReadTraceCompressed, FactorsWithoutMaterializing) {
-  const std::vector<std::uint32_t> period{0, 1, 2, 3, 8, 9, 10, 11};
-  std::ostringstream os;
-  os << "geometry 8 8\nname looped\n";
-  for (int r = 0; r < 500; ++r) {
-    for (std::uint32_t v : period) os << v << " ";
-    os << "\n";
-  }
-  std::istringstream in(os.str());
-  const CompressedTrace ct = read_trace_compressed(in, 128);
-  EXPECT_EQ(ct.period, period);
-  EXPECT_EQ(ct.repeats, 500u);
-  EXPECT_EQ(ct.name, "looped");
-  EXPECT_EQ(ct.geometry, (ArrayGeometry{8, 8}));
-  // Same factorization as materialize-then-compress.
-  std::istringstream in2(os.str());
-  const CompressedTrace batch = compress_periodic(read_trace(in2));
-  EXPECT_EQ(ct.period, batch.period);
-  EXPECT_EQ(ct.repeats, batch.repeats);
-}
-
-TEST(ReadTraceCompressed, FileRoundTrip) {
-  const auto t = transpose_read({8, 4});
-  const std::string path = ::testing::TempDir() + "stream_io_compressed.trace";
-  write_trace_file(path, t);
-  const CompressedTrace ct = read_trace_compressed_file(path);
-  EXPECT_EQ(ct.expand().linear(), t.linear());
-  std::remove(path.c_str());
-  EXPECT_THROW(read_trace_compressed_file(path), std::runtime_error);
 }
 
 LackeyImportOptions geom_opt(std::size_t w, std::size_t h) {

@@ -1,5 +1,4 @@
-// Randomized properties tying the streaming pipeline to its materializing
-// counterparts:
+// Randomized properties of trace ingestion and periodicity compression:
 //  * TraceReader (and read_trace, which wraps it) == the test-only reference
 //    parser on arbitrary generated inputs, for both parsed traces and error
 //    messages, at every chunk size from 1 to 40 bytes and at 64 KiB;
@@ -198,27 +197,6 @@ TEST(StreamProperty, CompressExpandRoundTripsRandomFactorizations) {
     // ...and the factorization never stores more than the construction
     // (it may store less when the random period is itself periodic).
     EXPECT_LE(ct.stored(), prefix_len + period_len) << "trial " << trial;
-  }
-}
-
-TEST(StreamProperty, StreamingAgreesWithBatchCompressionOnRandomStreams) {
-  std::mt19937 rng(99);
-  const ArrayGeometry g{8, 8};
-  for (int trial = 0; trial < 200; ++trial) {
-    // Small alphabets make accidental periods (and lock/unlock churn) likely.
-    const std::uint32_t alphabet = 1 + rng() % 4;
-    const std::size_t n = 1 + rng() % 120;
-    std::vector<std::uint32_t> a(n);
-    for (auto& v : a) v = rng() % alphabet;
-    StreamingCompressor sc;
-    for (std::uint32_t v : a) sc.push(v);
-    const CompressedTrace streamed = sc.finish(g, "s");
-    const CompressedTrace batch = compress_periodic(AddressTrace(g, a, "s"));
-    EXPECT_EQ(streamed.prefix, batch.prefix) << "trial " << trial;
-    EXPECT_EQ(streamed.period, batch.period) << "trial " << trial;
-    EXPECT_EQ(streamed.repeats, batch.repeats) << "trial " << trial;
-    EXPECT_EQ(streamed.tail, batch.tail) << "trial " << trial;
-    EXPECT_EQ(streamed.expand().linear(), a) << "trial " << trial;
   }
 }
 
