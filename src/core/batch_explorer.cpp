@@ -138,35 +138,39 @@ std::size_t BatchExplorer::pending_flush() const {
   return impl_->pending_entries.size();
 }
 
-BatchExplorer::FlushStats BatchExplorer::flush_disk() {
+BatchExplorer::FlushStats BatchExplorer::write_disk(
+    const std::vector<EvalCacheEntry>& batch,
+    const std::vector<std::pair<EvalCacheKey, std::uint64_t>>& hits) {
   FlushStats stats;
-  if (opt_.cache_dir.empty() || !opt_.memoize) return stats;
-  // One writer at a time: flush_mu serializes this process's store/record/
-  // prune sequence so the budget prune never runs under a concurrent write.
-  std::lock_guard<std::mutex> flush_lk(impl_->flush_mu);
-  std::vector<EvalCacheEntry> batch;
-  std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint64_t> hits;
-  {
-    std::lock_guard<std::mutex> lk(impl_->mu);
-    batch.swap(impl_->pending_entries);
-    impl_->pending_keys.clear();
-    hits.swap(impl_->pending_hits);
-  }
   EvalCacheDir store(opt_.cache_dir);
   if (!batch.empty()) stats.stored = store.store_batch(batch);
-  if (!hits.empty()) {
-    std::vector<std::pair<EvalCacheKey, std::uint64_t>> credit;
-    credit.reserve(hits.size());
-    for (const auto& [key, count] : hits)
-      credit.push_back({{key.first, key.second}, count});
-    store.record_hits(credit);
-  }
+  if (!hits.empty()) store.record_hits(hits);
   if (opt_.cache_budget_bytes != 0 && (stats.stored != 0 || !hits.empty())) {
     const EvalCacheDir::MaintenanceStats pruned =
         store.prune(UINT64_MAX, opt_.cache_budget_bytes);
     if (pruned.ok) stats.evicted = pruned.evicted;
   }
   return stats;
+}
+
+BatchExplorer::FlushStats BatchExplorer::flush_disk() {
+  if (opt_.cache_dir.empty() || !opt_.memoize) return {};
+  // One writer at a time: flush_mu serializes this process's store/record/
+  // prune sequence so the budget prune never runs under a concurrent write.
+  std::lock_guard<std::mutex> flush_lk(impl_->flush_mu);
+  std::vector<EvalCacheEntry> batch;
+  std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint64_t> pending_hits;
+  {
+    std::lock_guard<std::mutex> lk(impl_->mu);
+    batch.swap(impl_->pending_entries);
+    impl_->pending_keys.clear();
+    pending_hits.swap(impl_->pending_hits);
+  }
+  std::vector<std::pair<EvalCacheKey, std::uint64_t>> hits;
+  hits.reserve(pending_hits.size());
+  for (const auto& [key, count] : pending_hits)
+    hits.push_back({{key.first, key.second}, count});
+  return write_disk(batch, hits);
 }
 
 BatchResult BatchExplorer::run(const std::vector<seq::AddressTrace>& traces) {
@@ -299,8 +303,9 @@ BatchResult BatchExplorer::run(const std::vector<seq::AddressTrace>& traces,
   // (index.txt line order included) come out byte-identical at every thread
   // count.  After the store, warm-start hits observed this run are credited
   // to their entries (prune's eviction priority feeds on them), and when a
-  // byte budget is configured the directory is pruned back under it — the
-  // flush-time enforcement that keeps a bounded directory bounded.
+  // byte budget is configured and the run wrote anything, the directory is
+  // pruned back under it — the flush-time enforcement that keeps a bounded
+  // directory bounded.  write_disk() is that sequence for both modes.
   if (use_disk && opt_.defer_disk_flush) {
     // Daemon mode: queue this run's successes and hit counts for the next
     // flush_disk() instead of writing here, so a long-lived process decides
@@ -321,31 +326,22 @@ BatchResult BatchExplorer::run(const std::vector<seq::AddressTrace>& traces,
     // flush_mu: concurrent run()s must not interleave their store/record/
     // prune sequences (prune assumes no concurrent writer in-process too).
     std::lock_guard<std::mutex> flush_lk(impl_->flush_mu);
-    EvalCacheDir store(opt_.cache_dir);
-    if (!fresh.empty()) {
-      std::vector<EvalCacheEntry> batch;
-      batch.reserve(fresh.size());
-      for (const auto& [trace_fp, outcome] : fresh) {
-        EvalCacheEntry e;
-        e.key = {trace_fp, opt_fp};
-        e.points = outcome->points;
-        e.pareto = outcome->pareto;
-        batch.push_back(std::move(e));
-      }
-      result.disk_entries_stored = store.store_batch(batch);
+    std::vector<EvalCacheEntry> batch;
+    batch.reserve(fresh.size());
+    for (const auto& [trace_fp, outcome] : fresh) {
+      EvalCacheEntry e;
+      e.key = {trace_fp, opt_fp};
+      e.points = outcome->points;
+      e.pareto = outcome->pareto;
+      batch.push_back(std::move(e));
     }
-    if (!disk_hit_counts.empty()) {
-      std::vector<std::pair<EvalCacheKey, std::uint64_t>> hits;
-      hits.reserve(disk_hit_counts.size());
-      for (const auto& [trace_fp, count] : disk_hit_counts)
-        hits.push_back({{trace_fp, opt_fp}, count});
-      store.record_hits(hits);
-    }
-    if (opt_.cache_budget_bytes != 0) {
-      const EvalCacheDir::MaintenanceStats pruned =
-          store.prune(UINT64_MAX, opt_.cache_budget_bytes);
-      if (pruned.ok) result.disk_entries_evicted = pruned.evicted;
-    }
+    std::vector<std::pair<EvalCacheKey, std::uint64_t>> hits;
+    hits.reserve(disk_hit_counts.size());
+    for (const auto& [trace_fp, count] : disk_hit_counts)
+      hits.push_back({{trace_fp, opt_fp}, count});
+    const FlushStats written = write_disk(batch, hits);
+    result.disk_entries_stored = written.stored;
+    result.disk_entries_evicted = written.evicted;
   }
 
   result.evaluations = evaluations;

@@ -20,12 +20,16 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/explorer.hpp"
 #include "seq/trace.hpp"
 
 namespace addm::core {
+
+struct EvalCacheEntry;
+struct EvalCacheKey;
 
 /// Configuration for one BatchExplorer.  Value type; copying is cheap
 /// relative to an exploration.
@@ -149,6 +153,13 @@ class BatchExplorer {
 
  private:
   struct Impl;
+  /// The one write sequence against cache_dir: store the batch, credit the
+  /// hits, then prune back under cache_budget_bytes when anything was
+  /// written.  The caller holds Impl::flush_mu.
+  FlushStats write_disk(
+      const std::vector<EvalCacheEntry>& batch,
+      const std::vector<std::pair<EvalCacheKey, std::uint64_t>>& hits);
+
   BatchOptions opt_;
   Impl* impl_;
 };

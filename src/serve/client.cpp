@@ -13,42 +13,18 @@ namespace addm::serve {
 
 namespace {
 
-// JSON reply decoding shared by all three request kinds.
-bool decode_json_reply(const std::string& line, ServeClient::Result& out,
-                       std::string& transport_error) {
-  JsonValue root;
-  std::string why;
-  if (!parse_json(line, root, why) || root.type != JsonValue::Type::kObject) {
-    transport_error = "malformed reply line: " + why;
-    return false;
+// Opens a stream socket connected to `addr`; -1 with `error` on failure.
+int connect_stream(int family, const void* addr, socklen_t len,
+                   const std::string& where, std::string& error) {
+  const int fd = ::socket(family, SOCK_STREAM, 0);
+  if (fd < 0) {
+    error = std::string("socket: ") + std::strerror(errno);
+    return -1;
   }
-  const JsonValue* ok = root.find("ok");
-  if (!ok || ok->type != JsonValue::Type::kBool) {
-    transport_error = "reply missing \"ok\" field";
-    return false;
-  }
-  if (!ok->boolean) {
-    out.ok = false;
-    if (const JsonValue* code = root.find("code"))
-      out.error.code = code->string;
-    if (const JsonValue* msg = root.find("message"))
-      out.error.message = msg->string;
-    if (out.error.code.empty()) out.error.code = "error";
-    return true;
-  }
-  out.ok = true;
-  for (const char* key : {"report", "output", "pong"})
-    if (const JsonValue* v = root.find(key))
-      if (v->type == JsonValue::Type::kString) out.body = v->string;
-  auto num = [&](const char* key, std::uint64_t& dst) {
-    if (const JsonValue* v = root.find(key)) v->as_u64(dst);
-  };
-  num("traces", out.summary.traces);
-  num("evaluations", out.summary.evaluations);
-  num("cache_hits", out.summary.cache_hits);
-  num("disk_hits", out.summary.disk_hits);
-  num("errors", out.summary.errors);
-  return true;
+  if (::connect(fd, static_cast<const sockaddr*>(addr), len) == 0) return fd;
+  error = "connect " + where + ": " + std::strerror(errno);
+  ::close(fd);
+  return -1;
 }
 
 }  // namespace
@@ -70,18 +46,8 @@ bool ServeClient::connect_unix(const std::string& path, std::string& error) {
     return false;
   }
   std::strncpy(addr.sun_path, path.c_str(), sizeof addr.sun_path - 1);
-  fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd_ < 0) {
-    error = std::string("socket: ") + std::strerror(errno);
-    return false;
-  }
-  if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-    error = "connect " + path + ": " + std::strerror(errno);
-    ::close(fd_);
-    fd_ = -1;
-    return false;
-  }
-  return true;
+  fd_ = connect_stream(AF_UNIX, &addr, sizeof addr, path, error);
+  return fd_ >= 0;
 }
 
 bool ServeClient::connect_tcp(const std::string& host, int port,
@@ -93,19 +59,9 @@ bool ServeClient::connect_tcp(const std::string& host, int port,
     error = "bad IPv4 address: " + host;
     return false;
   }
-  fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd_ < 0) {
-    error = std::string("socket: ") + std::strerror(errno);
-    return false;
-  }
-  if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-    error = "connect " + host + ":" + std::to_string(port) + ": " +
-            std::strerror(errno);
-    ::close(fd_);
-    fd_ = -1;
-    return false;
-  }
-  return true;
+  fd_ = connect_stream(AF_INET, &addr, sizeof addr,
+                       host + ":" + std::to_string(port), error);
+  return fd_ >= 0;
 }
 
 bool ServeClient::send_all(std::string_view data, std::string& error) {
@@ -123,157 +79,65 @@ bool ServeClient::send_all(std::string_view data, std::string& error) {
   return true;
 }
 
-bool ServeClient::read_frame(Frame& out, std::string& error) {
+bool ServeClient::recv_more(std::string& error) {
   char tmp[64 * 1024];
   for (;;) {
-    std::size_t consumed = 0;
-    std::string why;
-    const DecodeStatus st = decode_frame(rbuf_, out, consumed, &why);
-    if (st == DecodeStatus::kFrame) {
-      rbuf_.erase(0, consumed);
+    const ssize_t n = ::recv(fd_, tmp, sizeof tmp, 0);
+    if (n > 0) {
+      rbuf_.append(tmp, static_cast<std::size_t>(n));
       return true;
     }
-    if (st == DecodeStatus::kMalformed) {
-      error = "malformed reply frame: " + why;
-      return false;
-    }
-    const ssize_t n = ::recv(fd_, tmp, sizeof tmp, 0);
     if (n == 0) {
       error = "server closed the connection mid-reply";
       return false;
     }
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      error = std::string("recv: ") + std::strerror(errno);
-      return false;
-    }
-    rbuf_.append(tmp, static_cast<std::size_t>(n));
+    if (errno == EINTR) continue;
+    error = std::string("recv: ") + std::strerror(errno);
+    return false;
   }
 }
 
-bool ServeClient::read_json_line(std::string& out, std::string& error) {
-  char tmp[64 * 1024];
-  for (;;) {
-    const std::size_t eol = rbuf_.find('\n');
-    if (eol != std::string::npos) {
-      out = rbuf_.substr(0, eol);
-      rbuf_.erase(0, eol + 1);
-      return true;
-    }
-    const ssize_t n = ::recv(fd_, tmp, sizeof tmp, 0);
-    if (n == 0) {
-      error = "server closed the connection mid-reply";
-      return false;
-    }
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      error = std::string("recv: ") + std::strerror(errno);
-      return false;
-    }
-    rbuf_.append(tmp, static_cast<std::size_t>(n));
-  }
-}
-
-bool ServeClient::explore(const ExploreRequest& req, Result& out,
-                          std::string& transport_error) {
+bool ServeClient::exchange(const Request& req, Result& out,
+                           std::string& transport_error) {
   out = Result{};
   if (fd_ < 0) {
     transport_error = "not connected";
     return false;
   }
-  if (json_mode_) {
-    if (!send_all(json_explore_request(req), transport_error)) return false;
-    std::string line;
-    if (!read_json_line(line, transport_error)) return false;
-    return decode_json_reply(line, out, transport_error);
-  }
-  if (!send_all(encode_frame(kExplore, encode_explore_request(req)),
-                transport_error))
-    return false;
+  const WireMode mode = json_mode_ ? WireMode::kJson : WireMode::kBinary;
+  if (!send_all(encode_request(mode, req), transport_error)) return false;
   for (;;) {
-    Frame f;
-    if (!read_frame(f, transport_error)) return false;
-    switch (f.type) {
-      case kChunk:
-        out.body += f.payload;
+    switch (take_reply(mode, rbuf_, req.kind, out, transport_error)) {
+      case TakeStatus::kDone:
+        return true;
+      case TakeStatus::kNeedMore:
+        if (!recv_more(transport_error)) return false;
         break;
-      case kDone:
-        if (!parse_done(f.payload, out.summary)) {
-          transport_error = "malformed done summary";
-          return false;
-        }
-        out.ok = true;
-        return true;
-      case kError:
-        parse_error(f.payload, out.error);
-        if (out.error.code.empty()) out.error.code = "error";
-        out.ok = false;
-        return true;
       default:
-        transport_error =
-            "unexpected reply frame type " + std::to_string(f.type);
         return false;
     }
   }
 }
 
+bool ServeClient::explore(const ExploreRequest& req, Result& out,
+                          std::string& transport_error) {
+  return exchange({RequestKind::kExplore, req, {}}, out, transport_error);
+}
+
 bool ServeClient::admin(std::string_view command, Result& out,
                         std::string& transport_error) {
-  out = Result{};
-  if (fd_ < 0) {
-    transport_error = "not connected";
-    return false;
-  }
-  if (json_mode_) {
-    if (!send_all(json_admin_request(command), transport_error)) return false;
-    std::string line;
-    if (!read_json_line(line, transport_error)) return false;
-    return decode_json_reply(line, out, transport_error);
-  }
-  if (!send_all(encode_frame(kAdmin, command), transport_error)) return false;
-  Frame f;
-  if (!read_frame(f, transport_error)) return false;
-  if (f.type == kAdminDone) {
-    out.ok = true;
-    out.body = f.payload;
-    return true;
-  }
-  if (f.type == kError) {
-    parse_error(f.payload, out.error);
-    if (out.error.code.empty()) out.error.code = "error";
-    out.ok = false;
-    return true;
-  }
-  transport_error = "unexpected reply frame type " + std::to_string(f.type);
-  return false;
+  return exchange({RequestKind::kAdmin, {}, std::string(command)}, out,
+                  transport_error);
 }
 
 bool ServeClient::ping(std::string& banner, std::string& transport_error) {
-  if (fd_ < 0) {
-    transport_error = "not connected";
+  Result r;
+  if (!exchange({}, r, transport_error)) return false;
+  if (!r.ok) {
+    transport_error = "ping failed: " + r.error.code;
     return false;
   }
-  if (json_mode_) {
-    if (!send_all(json_ping_request(), transport_error)) return false;
-    std::string line;
-    if (!read_json_line(line, transport_error)) return false;
-    Result r;
-    if (!decode_json_reply(line, r, transport_error)) return false;
-    if (!r.ok) {
-      transport_error = "ping failed: " + r.error.code;
-      return false;
-    }
-    banner = r.body;
-    return true;
-  }
-  if (!send_all(encode_frame(kPing, ""), transport_error)) return false;
-  Frame f;
-  if (!read_frame(f, transport_error)) return false;
-  if (f.type != kPong) {
-    transport_error = "unexpected reply frame type " + std::to_string(f.type);
-    return false;
-  }
-  banner = f.payload;
+  banner = std::move(r.body);
   return true;
 }
 

@@ -1,11 +1,12 @@
 // Client side of the addm_serve protocol: one blocking connection, one
-// request/reply exchange per call.  Used by tools/addm_client, the
-// serve-throughput benchmark, and the in-process server tests.
+// request/reply exchange per call.  Used by tools/addm_client, pipebench
+// and the in-process server tests.
 //
 // Two transports (Unix-domain path or TCP loopback) × two wire modes
-// (binary framing, default; JSON lines via set_json_mode) — the reply is
-// identical either way because both modes are views of the same request
-// model (serve/protocol.hpp).
+// (binary framing, default; JSON lines via set_json_mode).  Every call goes
+// through one exchange(): the connection's codec (serve/protocol.hpp)
+// encodes the Request and decodes the Reply, so the result is identical in
+// either mode.
 #pragma once
 
 #include <string>
@@ -47,21 +48,18 @@ class ServeClient {
   /// first byte it sees).
   void set_json_mode(bool on) { json_mode_ = on; }
 
-  bool connected() const { return fd_ >= 0; }
+  /// Result of one request: the server's Reply.  On ok, `body` is the full
+  /// report (explore), the command output (admin) or the banner (ping); on
+  /// !ok, `error` carries the server's error.  Transport failures are
+  /// reported separately through the bool return + `transport_error`.
+  using Result = Reply;
 
-  /// Result of one request.  On ok, `body` is the full report (explore) or
-  /// the command output (admin); on !ok, `error` carries the server's
-  /// framed error.  Transport failures are reported separately through the
-  /// bool return + `transport_error`.
-  struct Result {
-    bool ok = false;
-    ErrorInfo error;
-    std::string body;
-    ExploreSummary summary;  ///< explore only
-  };
+  /// Sends one request and reads its whole reply.  Returns false only on a
+  /// transport/protocol failure (closed connection, malformed or
+  /// unexpected reply).
+  bool exchange(const Request& req, Result& out, std::string& transport_error);
 
-  /// Runs one explore request to completion (streams every kChunk into
-  /// `out.body`).  Returns false only on a transport/protocol failure.
+  /// Runs one explore request to completion.
   bool explore(const ExploreRequest& req, Result& out,
                std::string& transport_error);
 
@@ -70,13 +68,13 @@ class ServeClient {
   bool admin(std::string_view command, Result& out,
              std::string& transport_error);
 
-  /// Liveness probe; fills `banner` from the kPong payload.
+  /// Liveness probe; fills `banner` with the server banner.
   bool ping(std::string& banner, std::string& transport_error);
 
  private:
   bool send_all(std::string_view data, std::string& error);
-  bool read_frame(Frame& out, std::string& error);
-  bool read_json_line(std::string& out, std::string& error);
+  /// Appends the next bytes from the socket to rbuf_.
+  bool recv_more(std::string& error);
 
   int fd_ = -1;
   bool json_mode_ = false;

@@ -29,6 +29,12 @@ void set_error(std::string* error, const char* msg) {
   if (error) *error = msg;
 }
 
+// Sets `error` and returns false: the request parsers' one-line rejection.
+bool fail(std::string& error, std::string message) {
+  error = std::move(message);
+  return false;
+}
+
 }  // namespace
 
 std::string encode_frame(std::uint8_t type, std::string_view payload) {
@@ -132,42 +138,24 @@ bool parse_explore_request(std::string_view payload, ExploreRequest& out,
         sp < line.size() ? line.substr(sp + 1) : std::string_view{};
 
     if (word == "format") {
-      if (saw_format) {
-        error = "duplicate format directive";
-        return false;
-      }
-      if (rest != "csv" && rest != "json") {
-        error = "format must be csv or json";
-        return false;
-      }
+      if (saw_format) return fail(error, "duplicate format directive");
+      if (rest != "csv" && rest != "json")
+        return fail(error, "format must be csv or json");
       out.format = std::string(rest);
       saw_format = true;
     } else if (word == "suite") {
-      if (saw_suite) {
-        error = "duplicate suite directive";
-        return false;
-      }
+      if (saw_suite) return fail(error, "duplicate suite directive");
       const std::size_t sp2 = rest.find(' ');
-      if (sp2 == std::string_view::npos) {
-        error = "suite expects SCALES WxH";
-        return false;
-      }
+      if (sp2 == std::string_view::npos) return fail(error, "suite expects SCALES WxH");
       std::uint64_t scales = 0;
-      if (!seq::parse_u64(rest.substr(0, sp2), scales) || scales == 0) {
-        error = "suite expects a positive scale count";
-        return false;
-      }
-      if (!seq::parse_geometry(rest.substr(sp2 + 1), out.suite_base)) {
-        error = "suite expects a WxH base geometry (e.g. 8x8)";
-        return false;
-      }
+      if (!seq::parse_u64(rest.substr(0, sp2), scales) || scales == 0)
+        return fail(error, "suite expects a positive scale count");
+      if (!seq::parse_geometry(rest.substr(sp2 + 1), out.suite_base))
+        return fail(error, "suite expects a WxH base geometry (e.g. 8x8)");
       out.suite_scales = static_cast<std::size_t>(scales);
       saw_suite = true;
     } else if (word == "option") {
-      if (rest.empty()) {
-        error = "option expects KEY [VALUE]";
-        return false;
-      }
+      if (rest.empty()) return fail(error, "option expects KEY [VALUE]");
       const std::size_t sp2 = std::min(rest.find(' '), rest.size());
       const std::string key(rest.substr(0, sp2));
       const std::string value(
@@ -183,10 +171,7 @@ bool parse_explore_request(std::string_view payload, ExploreRequest& out,
       const std::string_view args =
           sp2 < rest.size() ? rest.substr(sp2 + 1) : std::string_view{};
       if (kind == "path") {
-        if (args.empty()) {
-          error = "trace path expects a file path";
-          return false;
-        }
+        if (args.empty()) return fail(error, "trace path expects a file path");
         TraceSource t;
         t.kind = TraceSource::Kind::kPath;
         t.name = std::string(args);
@@ -195,27 +180,21 @@ bool parse_explore_request(std::string_view payload, ExploreRequest& out,
         const std::size_t sp3 = std::min(args.find(' '), args.size());
         std::uint64_t nbytes = 0;
         if (!seq::parse_u64(args.substr(0, sp3), nbytes) ||
-            nbytes > kMaxFramePayload) {
-          error = "trace inline expects NBYTES NAME";
-          return false;
-        }
+            nbytes > kMaxFramePayload)
+          return fail(error, "trace inline expects NBYTES NAME");
         TraceSource t;
         t.kind = TraceSource::Kind::kInline;
         if (sp3 < args.size()) t.name = std::string(args.substr(sp3 + 1));
         // pos can be payload.size() + 1 when this directive line had no
         // trailing newline, so guard the subtraction against underflow.
-        if (pos > payload.size() || payload.size() - pos < nbytes) {
-          error = "truncated inline trace data";
-          return false;
-        }
+        if (pos > payload.size() || payload.size() - pos < nbytes)
+          return fail(error, "truncated inline trace data");
         t.data.assign(payload.data() + pos, nbytes);
         pos += nbytes;
         // The raw bytes are terminated by one mandatory newline so the
         // line scanner resynchronizes even when the data lacks one.
-        if (pos >= payload.size() || payload[pos] != '\n') {
-          error = "inline trace data missing terminator";
-          return false;
-        }
+        if (pos >= payload.size() || payload[pos] != '\n')
+          return fail(error, "inline trace data missing terminator");
         ++pos;
         out.traces.push_back(std::move(t));
       } else {
@@ -227,23 +206,32 @@ bool parse_explore_request(std::string_view payload, ExploreRequest& out,
       return false;
     }
   }
-  if (out.suite_scales == 0 && out.traces.empty()) {
-    error = "no input traces (use suite or trace directives)";
-    return false;
-  }
+  if (out.suite_scales == 0 && out.traces.empty())
+    return fail(error, "no input traces (use suite or trace directives)");
   return true;
 }
 
 // ---------------------------------------------------------------------------
 // Done / error payloads.
 
+namespace {
+
+// The summary's fields in wire order, named as in kDone payload lines and
+// JSON reply members.
+constexpr std::pair<const char*, std::uint64_t ExploreSummary::*> kSummaryFields[] = {
+    {"traces", &ExploreSummary::traces},
+    {"evaluations", &ExploreSummary::evaluations},
+    {"cache_hits", &ExploreSummary::cache_hits},
+    {"disk_hits", &ExploreSummary::disk_hits},
+    {"errors", &ExploreSummary::errors},
+};
+
+}  // namespace
+
 std::string encode_done(const ExploreSummary& s) {
   std::string out;
-  out += "traces " + std::to_string(s.traces) + "\n";
-  out += "evaluations " + std::to_string(s.evaluations) + "\n";
-  out += "cache_hits " + std::to_string(s.cache_hits) + "\n";
-  out += "disk_hits " + std::to_string(s.disk_hits) + "\n";
-  out += "errors " + std::to_string(s.errors) + "\n";
+  for (const auto& [name, field] : kSummaryFields)
+    out += std::string(name) + " " + std::to_string(s.*field) + "\n";
   return out;
 }
 
@@ -260,13 +248,9 @@ bool parse_done(std::string_view payload, ExploreSummary& out) {
     if (sp == std::string_view::npos) return false;
     std::uint64_t v = 0;
     if (!seq::parse_u64(line.substr(sp + 1), v)) return false;
-    const std::string_view key = line.substr(0, sp);
-    if (key == "traces") out.traces = v;
-    else if (key == "evaluations") out.evaluations = v;
-    else if (key == "cache_hits") out.cache_hits = v;
-    else if (key == "disk_hits") out.disk_hits = v;
-    else if (key == "errors") out.errors = v;
     // Unknown keys are ignored: summaries may grow fields.
+    for (const auto& [name, field] : kSummaryFields)
+      if (line.substr(0, sp) == name) out.*field = v;
   }
   return true;
 }
@@ -322,31 +306,20 @@ struct JsonParser {
       out.type = JsonValue::Type::kString;
       return parse_string(out.string);
     }
-    if (c == 't' || c == 'f') return parse_bool(out);
-    if (c == 'n') return parse_null(out);
+    if (c == 't' || c == 'f' || c == 'n') return parse_literal(out);
     if (c == '-' || (c >= '0' && c <= '9')) return parse_number(out);
     return fail("unexpected character");
   }
 
-  bool literal(std::string_view word) {
+  // true, false or null, picked by the first byte.
+  bool parse_literal(JsonValue& out) {
+    const std::string_view word =
+        text[pos] == 't' ? "true" : text[pos] == 'f' ? "false" : "null";
     if (text.substr(pos, word.size()) != word) return fail("bad literal");
     pos += word.size();
+    out.type = word == "null" ? JsonValue::Type::kNull : JsonValue::Type::kBool;
+    out.boolean = word == "true";
     return true;
-  }
-
-  bool parse_bool(JsonValue& out) {
-    out.type = JsonValue::Type::kBool;
-    if (text[pos] == 't') {
-      out.boolean = true;
-      return literal("true");
-    }
-    out.boolean = false;
-    return literal("false");
-  }
-
-  bool parse_null(JsonValue& out) {
-    out.type = JsonValue::Type::kNull;
-    return literal("null");
   }
 
   bool parse_number(JsonValue& out) {
@@ -502,10 +475,7 @@ bool parse_json(std::string_view text, JsonValue& out, std::string& error) {
   JsonParser p{text, 0, &error};
   if (!p.parse_value(out, 0)) return false;
   p.skip_ws();
-  if (p.pos != text.size()) {
-    error = "trailing bytes after JSON value";
-    return false;
-  }
+  if (p.pos != text.size()) return fail(error, "trailing bytes after JSON value");
   return true;
 }
 
@@ -542,17 +512,13 @@ bool json_option(const std::string& key, const JsonValue& v,
   std::string value;
   switch (v.type) {
     case JsonValue::Type::kBool:
-      if (!v.boolean) {
-        error = "option '" + key + "': flag options must be true or omitted";
-        return false;
-      }
+      if (!v.boolean)
+        return fail(error, "option '" + key + "': flag options must be true or omitted");
       break;  // flag: empty value
     case JsonValue::Type::kNumber: {
       std::uint64_t n = 0;
-      if (!v.as_u64(n)) {
-        error = "option '" + key + "': expected a non-negative integer";
-        return false;
-      }
+      if (!v.as_u64(n))
+        return fail(error, "option '" + key + "': expected a non-negative integer");
       value = std::to_string(n);
       break;
     }
@@ -562,10 +528,8 @@ bool json_option(const std::string& key, const JsonValue& v,
     case JsonValue::Type::kArray: {
       // archs-style lists may be given as an array of strings.
       for (const JsonValue& e : v.array) {
-        if (e.type != JsonValue::Type::kString) {
-          error = "option '" + key + "': array elements must be strings";
-          return false;
-        }
+        if (e.type != JsonValue::Type::kString)
+          return fail(error, "option '" + key + "': array elements must be strings");
         if (!value.empty()) value += ",";
         value += e.string;
       }
@@ -583,123 +547,90 @@ bool json_option(const std::string& key, const JsonValue& v,
 
 }  // namespace
 
-bool parse_json_request(std::string_view line, JsonRequest& out,
+bool parse_json_request(std::string_view line, Request& out,
                         std::string& error) {
-  out = JsonRequest{};
+  out = Request{};
   JsonValue root;
   if (!parse_json(line, root, error)) return false;
-  if (root.type != JsonValue::Type::kObject) {
-    error = "request must be a JSON object";
-    return false;
-  }
+  if (root.type != JsonValue::Type::kObject)
+    return fail(error, "request must be a JSON object");
   const JsonValue* op = root.find("op");
-  if (!op || op->type != JsonValue::Type::kString) {
-    error = "request needs a string \"op\" field";
-    return false;
-  }
+  if (!op || op->type != JsonValue::Type::kString)
+    return fail(error, "request needs a string \"op\" field");
   if (op->string == "ping") {
-    out.kind = JsonRequestKind::kPing;
+    out.kind = RequestKind::kPing;
     return true;
   }
   if (op->string == "admin") {
-    out.kind = JsonRequestKind::kAdmin;
+    out.kind = RequestKind::kAdmin;
     const JsonValue* cmd = root.find("command");
-    if (!cmd || cmd->type != JsonValue::Type::kString || cmd->string.empty()) {
-      error = "admin request needs a non-empty string \"command\"";
-      return false;
-    }
+    if (!cmd || cmd->type != JsonValue::Type::kString || cmd->string.empty())
+      return fail(error, "admin request needs a non-empty string \"command\"");
     out.admin_command = cmd->string;
     return true;
   }
-  if (op->string != "explore") {
-    error = "unknown op '" + op->string + "'";
-    return false;
-  }
-  out.kind = JsonRequestKind::kExplore;
+  if (op->string != "explore") return fail(error, "unknown op '" + op->string + "'");
+  out.kind = RequestKind::kExplore;
   ExploreRequest& req = out.explore;
 
   if (const JsonValue* fmt = root.find("format")) {
     if (fmt->type != JsonValue::Type::kString ||
-        (fmt->string != "csv" && fmt->string != "json")) {
-      error = "format must be \"csv\" or \"json\"";
-      return false;
-    }
+        (fmt->string != "csv" && fmt->string != "json"))
+      return fail(error, "format must be \"csv\" or \"json\"");
     req.format = fmt->string;
   }
   if (const JsonValue* suite = root.find("suite")) {
-    if (suite->type != JsonValue::Type::kObject) {
-      error = "suite must be an object {\"scales\":N,\"base\":\"WxH\"}";
-      return false;
-    }
+    if (suite->type != JsonValue::Type::kObject)
+      return fail(error, "suite must be an object {\"scales\":N,\"base\":\"WxH\"}");
     const JsonValue* scales = suite->find("scales");
     std::uint64_t n = 0;
-    if (!scales || !scales->as_u64(n) || n == 0) {
-      error = "suite.scales must be a positive integer";
-      return false;
-    }
+    if (!scales || !scales->as_u64(n) || n == 0)
+      return fail(error, "suite.scales must be a positive integer");
     req.suite_scales = static_cast<std::size_t>(n);
     if (const JsonValue* base = suite->find("base")) {
       if (base->type != JsonValue::Type::kString ||
-          !seq::parse_geometry(base->string, req.suite_base)) {
-        error = "suite.base must be \"WxH\" (e.g. \"8x8\")";
-        return false;
-      }
+          !seq::parse_geometry(base->string, req.suite_base))
+        return fail(error, "suite.base must be \"WxH\" (e.g. \"8x8\")");
     }
   }
   if (const JsonValue* options = root.find("options")) {
-    if (options->type != JsonValue::Type::kObject) {
-      error = "options must be an object";
-      return false;
-    }
+    if (options->type != JsonValue::Type::kObject)
+      return fail(error, "options must be an object");
     for (const auto& [key, value] : options->object)
       if (!json_option(key, value, req, error)) return false;
   }
   if (const JsonValue* traces = root.find("traces")) {
-    if (traces->type != JsonValue::Type::kArray) {
-      error = "traces must be an array";
-      return false;
-    }
+    if (traces->type != JsonValue::Type::kArray)
+      return fail(error, "traces must be an array");
     for (const JsonValue& t : traces->array) {
-      if (t.type != JsonValue::Type::kObject) {
-        error = "each trace must be an object";
-        return false;
-      }
+      if (t.type != JsonValue::Type::kObject)
+        return fail(error, "each trace must be an object");
       const JsonValue* path = t.find("path");
       const JsonValue* inline_data = t.find("inline");
-      if ((path != nullptr) == (inline_data != nullptr)) {
-        error = "each trace needs exactly one of \"path\" or \"inline\"";
-        return false;
-      }
+      if ((path != nullptr) == (inline_data != nullptr))
+        return fail(error, "each trace needs exactly one of \"path\" or \"inline\"");
       TraceSource src;
       if (path) {
-        if (path->type != JsonValue::Type::kString || path->string.empty()) {
-          error = "trace path must be a non-empty string";
-          return false;
-        }
+        if (path->type != JsonValue::Type::kString || path->string.empty())
+          return fail(error, "trace path must be a non-empty string");
         src.kind = TraceSource::Kind::kPath;
         src.name = path->string;
       } else {
-        if (inline_data->type != JsonValue::Type::kString) {
-          error = "inline trace data must be a string";
-          return false;
-        }
+        if (inline_data->type != JsonValue::Type::kString)
+          return fail(error, "inline trace data must be a string");
         src.kind = TraceSource::Kind::kInline;
         src.data = inline_data->string;
         if (const JsonValue* name = t.find("name")) {
-          if (name->type != JsonValue::Type::kString) {
-            error = "trace name must be a string";
-            return false;
-          }
+          if (name->type != JsonValue::Type::kString)
+            return fail(error, "trace name must be a string");
           src.name = name->string;
         }
       }
       req.traces.push_back(std::move(src));
     }
   }
-  if (req.suite_scales == 0 && req.traces.empty()) {
-    error = "no input traces (use suite or traces)";
-    return false;
-  }
+  if (req.suite_scales == 0 && req.traces.empty())
+    return fail(error, "no input traces (use suite or traces)");
   return true;
 }
 
@@ -750,30 +681,208 @@ std::string json_admin_request(std::string_view command) {
 
 std::string json_ping_request() { return "{\"op\":\"ping\"}\n"; }
 
-std::string json_explore_reply(std::string_view report,
-                               const ExploreSummary& s) {
-  std::string out = "{\"ok\":true,\"report\":\"";
-  out += json_escape(report);
-  out += "\",\"traces\":" + std::to_string(s.traces);
-  out += ",\"evaluations\":" + std::to_string(s.evaluations);
-  out += ",\"cache_hits\":" + std::to_string(s.cache_hits);
-  out += ",\"disk_hits\":" + std::to_string(s.disk_hits);
-  out += ",\"errors\":" + std::to_string(s.errors);
-  out += "}\n";
+// ---------------------------------------------------------------------------
+// The two codecs.
+
+namespace {
+
+// Report bodies go out in slices of this size, so a peer's buffer needs stay
+// flat and it can stream the body to disk.
+constexpr std::size_t kChunkBytes = 1u << 20;
+
+// The frame that completes a successful reply, indexed by RequestKind.
+constexpr std::uint8_t kDoneFrame[] = {kDone, kAdminDone, kPong};
+
+std::uint8_t done_frame(RequestKind kind) {
+  return kDoneFrame[static_cast<std::size_t>(kind)];
+}
+
+TakeStatus take_frame_request(std::string& buf, Request& out, ErrorInfo& error) {
+  Frame frame;
+  std::size_t consumed = 0;
+  switch (decode_frame(buf, frame, consumed, &error.message)) {
+    case DecodeStatus::kNeedMore:
+      return TakeStatus::kNeedMore;
+    case DecodeStatus::kMalformed:
+      // After garbage there is no trustworthy frame boundary left to
+      // resynchronize on.
+      error.code = "malformed-frame";
+      return TakeStatus::kClose;
+    case DecodeStatus::kFrame:
+      break;
+  }
+  buf.erase(0, consumed);
+  out = Request{};
+  switch (frame.type) {
+    case kPing:
+      out.kind = RequestKind::kPing;
+      return TakeStatus::kDone;
+    case kAdmin:
+      out.kind = RequestKind::kAdmin;
+      out.admin_command = std::move(frame.payload);
+      while (!out.admin_command.empty() &&
+             (out.admin_command.back() == '\n' || out.admin_command.back() == '\r'))
+        out.admin_command.pop_back();
+      return TakeStatus::kDone;
+    case kExplore:
+      out.kind = RequestKind::kExplore;
+      if (parse_explore_request(frame.payload, out.explore, error.message))
+        return TakeStatus::kDone;
+      error.code = "bad-request";
+      return TakeStatus::kError;
+    default:
+      error = {"unsupported", "unexpected frame type " + std::to_string(frame.type)};
+      return TakeStatus::kError;
+  }
+}
+
+TakeStatus take_json_request(std::string& buf, Request& out, ErrorInfo& error) {
+  for (;;) {
+    const std::size_t eol = buf.find('\n');
+    if (eol == std::string::npos) {
+      if (buf.size() <= kMaxFramePayload) return TakeStatus::kNeedMore;
+      error = {"bad-request", "request line exceeds the 64 MiB cap"};
+      return TakeStatus::kClose;
+    }
+    std::string line = buf.substr(0, eol);
+    buf.erase(0, eol + 1);
+    if (!line.empty() && line.back() == '\r') line.pop_back();
+    if (line.empty()) continue;
+    if (parse_json_request(line, out, error.message)) return TakeStatus::kDone;
+    error.code = "bad-request";
+    return TakeStatus::kError;
+  }
+}
+
+TakeStatus take_frame_reply(std::string& buf, RequestKind kind, Reply& out,
+                            std::string& error) {
+  for (;;) {
+    Frame f;
+    std::size_t consumed = 0;
+    std::string why;
+    switch (decode_frame(buf, f, consumed, &why)) {
+      case DecodeStatus::kNeedMore:
+        return TakeStatus::kNeedMore;
+      case DecodeStatus::kMalformed:
+        error = "malformed reply frame: " + why;
+        return TakeStatus::kClose;
+      case DecodeStatus::kFrame:
+        break;
+    }
+    buf.erase(0, consumed);
+    if (f.type == kChunk && kind == RequestKind::kExplore) {
+      out.body += f.payload;
+      continue;
+    }
+    if (f.type == kError) {
+      parse_error(f.payload, out.error);
+      if (out.error.code.empty()) out.error.code = "error";
+      return TakeStatus::kDone;
+    }
+    if (f.type != done_frame(kind)) {
+      error = "unexpected reply frame type " + std::to_string(f.type);
+      return TakeStatus::kClose;
+    }
+    if (kind != RequestKind::kExplore)
+      out.body = std::move(f.payload);
+    else if (!parse_done(f.payload, out.summary)) {
+      error = "malformed done summary";
+      return TakeStatus::kClose;
+    }
+    out.ok = true;
+    return TakeStatus::kDone;
+  }
+}
+
+TakeStatus take_json_reply(std::string& buf, Reply& out, std::string& error) {
+  const std::size_t eol = buf.find('\n');
+  if (eol == std::string::npos) return TakeStatus::kNeedMore;
+  JsonValue root;
+  std::string why;
+  const bool parsed = parse_json(std::string_view(buf).substr(0, eol), root, why);
+  buf.erase(0, eol + 1);
+  if (!parsed || root.type != JsonValue::Type::kObject) {
+    error = "malformed reply line: " + why;
+    return TakeStatus::kClose;
+  }
+  const JsonValue* ok = root.find("ok");
+  if (!ok || ok->type != JsonValue::Type::kBool) {
+    error = "reply missing \"ok\" field";
+    return TakeStatus::kClose;
+  }
+  if (!ok->boolean) {
+    if (const JsonValue* code = root.find("code")) out.error.code = code->string;
+    if (const JsonValue* msg = root.find("message")) out.error.message = msg->string;
+    if (out.error.code.empty()) out.error.code = "error";
+    return TakeStatus::kDone;
+  }
+  out.ok = true;
+  for (const char* key : {"report", "output", "pong"})
+    if (const JsonValue* v = root.find(key))
+      if (v->type == JsonValue::Type::kString) out.body = v->string;
+  for (const auto& [name, field] : kSummaryFields)
+    if (const JsonValue* v = root.find(name)) v->as_u64(out.summary.*field);
+  return TakeStatus::kDone;
+}
+
+std::string json_reply(RequestKind kind, const Reply& r) {
+  if (!r.ok)
+    return "{\"ok\":false,\"code\":\"" + json_escape(r.error.code) +
+           "\",\"message\":\"" + json_escape(r.error.message) + "\"}\n";
+  if (kind == RequestKind::kPing)
+    return "{\"ok\":true,\"pong\":\"" + json_escape(r.body) + "\"}\n";
+  if (kind == RequestKind::kAdmin)
+    return "{\"ok\":true,\"output\":\"" + json_escape(r.body) + "\"}\n";
+  std::string out = "{\"ok\":true,\"report\":\"" + json_escape(r.body) + "\"";
+  for (const auto& [name, field] : kSummaryFields)
+    out += ",\"" + std::string(name) + "\":" + std::to_string(r.summary.*field);
+  return out + "}\n";
+}
+
+std::string frame_reply(RequestKind kind, const Reply& r) {
+  if (!r.ok) return encode_frame(kError, encode_error(r.error));
+  if (kind != RequestKind::kExplore) return encode_frame(done_frame(kind), r.body);
+  std::string out;
+  for (std::string_view body = r.body; !body.empty();) {
+    const std::size_t n = std::min(body.size(), kChunkBytes);
+    out += encode_frame(kChunk, body.substr(0, n));
+    body.remove_prefix(n);
+  }
+  out += encode_frame(kDone, encode_done(r.summary));
   return out;
 }
 
-std::string json_admin_reply(std::string_view output) {
-  return "{\"ok\":true,\"output\":\"" + json_escape(output) + "\"}\n";
+}  // namespace
+
+TakeStatus take_request(WireMode mode, std::string& buf, Request& out,
+                        ErrorInfo& error) {
+  return mode == WireMode::kJson ? take_json_request(buf, out, error)
+                                 : take_frame_request(buf, out, error);
 }
 
-std::string json_pong_reply(std::string_view banner) {
-  return "{\"ok\":true,\"pong\":\"" + json_escape(banner) + "\"}\n";
+std::string encode_reply(WireMode mode, RequestKind kind, const Reply& reply) {
+  return mode == WireMode::kJson ? json_reply(kind, reply) : frame_reply(kind, reply);
 }
 
-std::string json_error_reply(const ErrorInfo& e) {
-  return "{\"ok\":false,\"code\":\"" + json_escape(e.code) +
-         "\",\"message\":\"" + json_escape(e.message) + "\"}\n";
+std::string encode_request(WireMode mode, const Request& req) {
+  const bool json = mode == WireMode::kJson;
+  switch (req.kind) {
+    case RequestKind::kExplore:
+      return json ? json_explore_request(req.explore)
+                  : encode_frame(kExplore, encode_explore_request(req.explore));
+    case RequestKind::kAdmin:
+      return json ? json_admin_request(req.admin_command)
+                  : encode_frame(kAdmin, req.admin_command);
+    case RequestKind::kPing:
+      break;
+  }
+  return json ? json_ping_request() : encode_frame(kPing, "");
+}
+
+TakeStatus take_reply(WireMode mode, std::string& buf, RequestKind kind,
+                      Reply& out, std::string& error) {
+  return mode == WireMode::kJson ? take_json_reply(buf, out, error)
+                                 : take_frame_reply(buf, kind, out, error);
 }
 
 }  // namespace addm::serve

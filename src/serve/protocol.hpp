@@ -1,27 +1,30 @@
-// Wire protocol for the addm_serve exploration daemon.
+// Wire protocol for the addm_serve exploration daemon: one request model,
+// one reply model, and two codecs that carry them.
 //
-// Two client-selectable modes share one socket:
+// A Request is a ping, an admin command or an explore (ExploreRequest); a
+// Reply is ok, with a body and (explore only) a summary, or an ErrorInfo.
+// The server and the client deal only in these values.  The first byte a
+// client sends fixes its connection's wire mode:
 //
 //  * Binary framing (default, used by addm_client): every message is a
 //    12-byte header — magic "ADSV", version byte, type byte, two reserved
 //    zero bytes, and a little-endian u32 payload length — followed by the
-//    payload.  The first byte a client sends ('A') selects this mode.
-//  * JSON lines (fallback for scripting without the client binary): one
-//    request object per '\n'-terminated line, one reply object per line.
-//    Any first byte other than 'A' selects this mode.
+//    payload.  A first byte of 'A' selects this mode.
+//  * JSON lines (for scripting without the client binary): one request
+//    object per '\n'-terminated line, one reply object per line.  Any other
+//    first byte selects this mode.
 //
+// Each mode is a codec that only translates: take_request and encode_reply
+// on the server side, encode_request and take_reply on the client side.
 // The full grammar (frame types, payload formats, error codes, versioning
-// rules) is specified in docs/serve-protocol.md; this header is the single
-// in-tree implementation of it, shared by the server, the client, and the
-// protocol fuzz tests.
+// rules) is specified in docs/serve-protocol.md.
 //
-// Robustness contract: decode_frame and the request parsers never throw and
-// never over-read — arbitrary bytes produce kNeedMore (prefix of a valid
-// frame), kMalformed (never a valid frame), or a decoded frame whose payload
-// parser reports a structured error.  The daemon maps malformation to a
-// framed kError reply (or a JSON error line) and carries on; it must never
-// crash or hang on hostile input (tests/serve_protocol_test.cpp fuzzes
-// exactly this boundary).
+// Robustness contract: the decoders never throw and never over-read —
+// arbitrary bytes produce kNeedMore (prefix of a valid message), a decoded
+// request, or a structured error that the daemon answers in the
+// connection's mode before reading on or closing.  It must never crash or
+// hang on hostile input (tests/serve_protocol_test.cpp and the
+// serve_request_fuzz target exercise exactly this boundary).
 #pragma once
 
 #include <cstddef>
@@ -101,6 +104,8 @@ struct TraceSource {
   std::string name;
   /// kInline only: the trace file bytes (seq/trace_io text format).
   std::string data;
+
+  bool operator==(const TraceSource&) const = default;
 };
 
 /// One explore request — the daemon-side mirror of an addm_explore
@@ -117,6 +122,8 @@ struct ExploreRequest {
   /// Suite traces come first, then these, in order — same list-construction
   /// rule as the CLI.
   std::vector<TraceSource> traces;
+
+  bool operator==(const ExploreRequest&) const = default;
 };
 
 /// Serializes a request into the kExplore payload grammar
@@ -166,6 +173,39 @@ std::string encode_error(const ErrorInfo& e);
 bool parse_error(std::string_view payload, ErrorInfo& out);
 
 // ---------------------------------------------------------------------------
+// The exchange: one request model and one reply model.
+
+/// Kind of a request; the same three in both wire modes.
+enum class RequestKind { kExplore, kAdmin, kPing };
+
+/// One decoded request, whichever codec carried it.  Explore requests fill
+/// `explore` (same structure, same option validation in both modes); admin
+/// requests fill `admin_command` with one command line ("stats", "flush",
+/// ...).
+struct Request {
+  RequestKind kind = RequestKind::kPing;
+  ExploreRequest explore;
+  std::string admin_command;
+
+  bool operator==(const Request&) const = default;
+};
+
+/// The request model's older names, still used by pipebench and the
+/// protocol tests.
+using JsonRequest = Request;
+using JsonRequestKind = RequestKind;
+
+/// One reply.  On ok, `body` is the report (explore), the command output
+/// (admin) or the banner (ping), and `summary` carries explore's counters;
+/// on !ok, `error` explains.
+struct Reply {
+  bool ok = false;
+  ErrorInfo error;
+  std::string body;
+  ExploreSummary summary;
+};
+
+// ---------------------------------------------------------------------------
 // JSON-lines fallback.
 //
 // The repo deliberately has no external JSON dependency, so the fallback
@@ -202,23 +242,9 @@ bool parse_json(std::string_view text, JsonValue& out, std::string& error);
 /// included).  Control bytes become \u00XX.
 std::string json_escape(std::string_view s);
 
-/// Kind of a parsed JSON-lines request.
-enum class JsonRequestKind { kExplore, kAdmin, kPing };
-
-/// One parsed JSON-lines request: {"op":"explore"|"admin"|"ping", ...}.
-/// Explore requests fill `explore` (same structure, same option validation
-/// as the binary grammar — one request model, two encodings); admin
-/// requests fill `admin_command` with the same one-line command the binary
-/// kAdmin payload carries.
-struct JsonRequest {
-  JsonRequestKind kind = JsonRequestKind::kPing;
-  ExploreRequest explore;
-  std::string admin_command;
-};
-
 /// Parses one request line.  Returns false with `error` on malformed JSON,
 /// an unknown "op", or invalid request fields.
-bool parse_json_request(std::string_view line, JsonRequest& out,
+bool parse_json_request(std::string_view line, Request& out,
                         std::string& error);
 
 /// Request-line builders (client side of the fallback mode) — each returns
@@ -228,11 +254,45 @@ std::string json_explore_request(const ExploreRequest& req);
 std::string json_admin_request(std::string_view command);
 std::string json_ping_request();
 
-/// Reply-line builders — each returns one complete line including the
-/// trailing '\n'.
-std::string json_explore_reply(std::string_view report, const ExploreSummary& s);
-std::string json_admin_reply(std::string_view output);
-std::string json_pong_reply(std::string_view banner);
-std::string json_error_reply(const ErrorInfo& e);
+// ---------------------------------------------------------------------------
+// The two codecs of the exchange.
+
+/// The two wire modes a connection can speak.
+enum class WireMode { kBinary, kJson };
+
+/// Outcome of taking one message off the front of a receive buffer.
+enum class TakeStatus {
+  kNeedMore,  ///< no complete message yet: read more bytes and retry
+  kDone,      ///< one message taken and decoded; its bytes are consumed
+  kError,     ///< a message taken but unusable: answer the error, read on
+  kClose,     ///< the stream is unusable: answer the error (server), close
+};
+
+/// Server side: takes the next request off the front of `buf`.
+///  * Binary: a malformed frame is kClose ("malformed-frame"); a bad
+///    kExplore payload is kError ("bad-request"); a frame type that is not
+///    a request is kError ("unsupported").  Admin payloads lose their
+///    trailing CR/LF; ping payloads are ignored.
+///  * JSON: lines lose a trailing CR and empty lines are skipped; an
+///    unparseable line is kError ("bad-request"); a partial line over the
+///    64 MiB cap is kClose ("bad-request").
+TakeStatus take_request(WireMode mode, std::string& buf, Request& out,
+                        ErrorInfo& error);
+
+/// Server side: the bytes answering a request of `kind`.  Binary: kPong,
+/// kAdminDone, kChunk frames of at most 1 MiB then kDone, or kError.
+/// JSON: one reply line.
+std::string encode_reply(WireMode mode, RequestKind kind, const Reply& reply);
+
+/// Client side: the bytes of one request.  Round-trip property:
+/// take_request(mode, encode_request(mode, r)) reproduces `r`.
+std::string encode_request(WireMode mode, const Request& req);
+
+/// Client side: takes the reply to a request of `kind` off the front of
+/// `buf`, accumulating into `out` across kNeedMore calls (report chunks).
+/// kDone: `out` is complete (ok, or the server's error).  kClose: the reply
+/// is malformed or unexpected, and `error` says how.
+TakeStatus take_reply(WireMode mode, std::string& buf, RequestKind kind,
+                      Reply& out, std::string& error);
 
 }  // namespace addm::serve

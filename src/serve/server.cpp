@@ -44,21 +44,7 @@ bool write_all(int fd, std::string_view data) {
   return true;
 }
 
-// Report bodies can exceed a sensible single write; kChunk slices keep the
-// peer's buffer requirements flat and let it stream the body to disk.
-constexpr std::size_t kChunkBytes = 1u << 20;
-
 }  // namespace
-
-struct Server::Conn {
-  int fd = -1;
-  bool write_failed = false;
-  bool send(std::string_view bytes) {
-    if (write_failed) return false;
-    if (!write_all(fd, bytes)) write_failed = true;
-    return !write_failed;
-  }
-};
 
 Server::Server(ExploreService& service, ServerOptions opt)
     : service_(service), opt_(std::move(opt)) {}
@@ -81,10 +67,11 @@ void Server::close_listener() {
 }
 
 bool Server::start(std::string& error) {
-  if (::pipe(stop_pipe_) != 0) {
-    error = std::string("pipe: ") + std::strerror(errno);
+  auto fail = [&error](const std::string& what) {
+    error = what + ": " + std::strerror(errno);
     return false;
-  }
+  };
+  if (::pipe(stop_pipe_) != 0) return fail("pipe");
 
   if (!opt_.unix_path.empty()) {
     sockaddr_un addr{};
@@ -96,15 +83,9 @@ bool Server::start(std::string& error) {
     std::strncpy(addr.sun_path, opt_.unix_path.c_str(), sizeof addr.sun_path - 1);
 
     listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (listen_fd_ < 0) {
-      error = std::string("socket: ") + std::strerror(errno);
-      return false;
-    }
+    if (listen_fd_ < 0) return fail("socket");
     if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-      if (errno != EADDRINUSE) {
-        error = "bind " + opt_.unix_path + ": " + std::strerror(errno);
-        return false;
-      }
+      if (errno != EADDRINUSE) return fail("bind " + opt_.unix_path);
       // Stale-socket recovery: a path left behind by a dead daemon accepts
       // no connections; a live daemon does.  Only the former is unlinked.
       const int probe = ::socket(AF_UNIX, SOCK_STREAM, 0);
@@ -117,39 +98,28 @@ bool Server::start(std::string& error) {
         return false;
       }
       ::unlink(opt_.unix_path.c_str());
-      if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-        error = "bind " + opt_.unix_path + ": " + std::strerror(errno);
-        return false;
-      }
+      if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0)
+        return fail("bind " + opt_.unix_path);
     }
     unlink_on_close_ = true;
   } else {
     listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (listen_fd_ < 0) {
-      error = std::string("socket: ") + std::strerror(errno);
-      return false;
-    }
+    if (listen_fd_ < 0) return fail("socket");
     const int one = 1;
     ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
     addr.sin_port = htons(static_cast<std::uint16_t>(opt_.tcp_port));
-    if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-      error = "bind 127.0.0.1:" + std::to_string(opt_.tcp_port) + ": " +
-              std::strerror(errno);
-      return false;
-    }
+    if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0)
+      return fail("bind 127.0.0.1:" + std::to_string(opt_.tcp_port));
     sockaddr_in bound{};
     socklen_t len = sizeof bound;
     if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len) == 0)
       bound_port_ = ntohs(bound.sin_port);
   }
 
-  if (::listen(listen_fd_, 64) != 0) {
-    error = std::string("listen: ") + std::strerror(errno);
-    return false;
-  }
+  if (::listen(listen_fd_, 64) != 0) return fail("listen");
   if (!opt_.quiet) {
     if (!opt_.unix_path.empty())
       std::fprintf(stderr, "addm_serve: listening on %s\n", opt_.unix_path.c_str());
@@ -242,180 +212,79 @@ int Server::run() {
 }
 
 void Server::handle_connection(int fd) {
-  Conn c;
-  c.fd = fd;
   char first = 0;
-  const ssize_t peeked = ::recv(fd, &first, 1, MSG_PEEK);
-  if (peeked == 1) {
-    // Mode selection: the binary framing's magic starts with 'A'; anything
-    // else is treated as a JSON line.
-    if (first == kFrameMagic[0])
-      serve_binary(c);
-    else
-      serve_json(c);
-  }
+  // Mode selection: the binary framing's magic starts with 'A'; anything
+  // else is treated as a JSON line.
+  if (::recv(fd, &first, 1, MSG_PEEK) == 1)
+    serve_connection(fd, first == kFrameMagic[0] ? WireMode::kBinary : WireMode::kJson);
   {
     std::lock_guard<std::mutex> lk(conns_mu_);
-    for (std::size_t i = 0; i < conn_fds_.size(); ++i) {
-      if (conn_fds_[i] == fd) {
-        conn_fds_[i] = conn_fds_.back();
-        conn_fds_.pop_back();
-        break;
-      }
-    }
+    std::erase(conn_fds_, fd);
   }
   ::close(fd);
   active_conns_.fetch_sub(1, std::memory_order_relaxed);
   note_activity();
 }
 
-void Server::serve_binary(Conn& c) {
+void Server::serve_connection(int fd, WireMode mode) {
   std::string buf;
   char tmp[64 * 1024];
   for (;;) {
-    while (!buf.empty()) {
-      Frame frame;
-      std::size_t consumed = 0;
-      std::string why;
-      const DecodeStatus st = decode_frame(buf, frame, consumed, &why);
-      if (st == DecodeStatus::kNeedMore) break;
-      if (st == DecodeStatus::kMalformed) {
-        // One framed diagnosis, then close: after garbage there is no
-        // trustworthy frame boundary left to resynchronize on.
-        c.send(encode_frame(kError, encode_error({"malformed-frame", why})));
-        return;
-      }
-      buf.erase(0, consumed);
-      if (!dispatch_frame(c, frame)) return;
-    }
-    if (stopping_.load(std::memory_order_relaxed)) return;
-    const ssize_t n = ::recv(c.fd, tmp, sizeof tmp, 0);
-    if (n <= 0) {
+    Request req;
+    ErrorInfo error;
+    const TakeStatus st = take_request(mode, buf, req, error);
+    if (st == TakeStatus::kNeedMore) {
+      if (stopping_.load(std::memory_order_relaxed)) return;
+      const ssize_t n = ::recv(fd, tmp, sizeof tmp, 0);
       if (n < 0 && errno == EINTR) continue;
-      return;  // EOF (including the drain's SHUT_RD) or error
+      if (n <= 0) return;  // EOF (including the drain's SHUT_RD) or error
+      buf.append(tmp, static_cast<std::size_t>(n));
+      note_activity();
+      continue;
     }
-    buf.append(tmp, static_cast<std::size_t>(n));
-    note_activity();
+    bool keep = st == TakeStatus::kError;
+    Reply reply;
+    if (st == TakeStatus::kDone)
+      reply = dispatch(req, keep);
+    else
+      reply.error = std::move(error);
+    if (!write_all(fd, encode_reply(mode, req.kind, reply)) || !keep) return;
   }
 }
 
-bool Server::dispatch_frame(Conn& c, const Frame& frame) {
-  bool keep = true;
-  switch (frame.type) {
-    case kPing:
-      keep = c.send(encode_frame(kPong, service_.ping()));
+Reply Server::dispatch(const Request& req, bool& keep) {
+  keep = true;
+  Reply reply;
+  switch (req.kind) {
+    case RequestKind::kPing:
+      reply.ok = true;
+      reply.body = service_.ping();
       break;
-    case kAdmin: {
-      std::string command = frame.payload;
-      while (!command.empty() &&
-             (command.back() == '\n' || command.back() == '\r'))
-        command.pop_back();
-      const auto out = service_.admin(command);
-      if (out.ok)
-        keep = c.send(encode_frame(kAdminDone, out.output));
-      else
-        keep = c.send(encode_frame(kError, encode_error(out.error)));
+    case RequestKind::kAdmin: {
+      ExploreService::AdminOutcome out = service_.admin(req.admin_command);
+      reply.ok = out.ok;
+      reply.error = std::move(out.error);
+      reply.body = std::move(out.output);
       if (out.shutdown) {
         request_stop();
         keep = false;
       }
       break;
     }
-    case kExplore: {
-      ExploreRequest req;
-      std::string why;
-      if (!parse_explore_request(frame.payload, req, why)) {
-        keep = c.send(encode_frame(kError, encode_error({"bad-request", why})));
-        break;
-      }
-      const auto out = service_.explore(req);
-      if (!out.ok) {
-        keep = c.send(encode_frame(kError, encode_error(out.error)));
-        break;
-      }
-      std::string_view body = out.report;
-      while (!body.empty() && keep) {
-        const std::size_t n = std::min(body.size(), kChunkBytes);
-        keep = c.send(encode_frame(kChunk, body.substr(0, n)));
-        body.remove_prefix(n);
-      }
-      if (keep) keep = c.send(encode_frame(kDone, encode_done(out.summary)));
+    case RequestKind::kExplore: {
+      ExploreService::ExploreOutcome out = service_.explore(req.explore);
+      reply.ok = out.ok;
+      reply.error = std::move(out.error);
+      reply.body = std::move(out.report);
+      reply.summary = out.summary;
       break;
     }
-    default:
-      keep = c.send(encode_frame(
-          kError, encode_error({"unsupported",
-                                "unexpected frame type " +
-                                    std::to_string(frame.type)})));
-      break;
   }
   if (opt_.max_requests != 0 && service_.requests_served() >= opt_.max_requests) {
     request_stop();
     keep = false;
   }
-  return keep;
-}
-
-void Server::serve_json(Conn& c) {
-  std::string buf;
-  char tmp[64 * 1024];
-  for (;;) {
-    std::size_t eol;
-    while ((eol = buf.find('\n')) != std::string::npos) {
-      std::string line = buf.substr(0, eol);
-      buf.erase(0, eol + 1);
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      if (line.empty()) continue;
-      note_activity();
-
-      JsonRequest req;
-      std::string why;
-      if (!parse_json_request(line, req, why)) {
-        if (!c.send(json_error_reply({"bad-request", why}))) return;
-        continue;
-      }
-      bool keep = true;
-      switch (req.kind) {
-        case JsonRequestKind::kPing:
-          keep = c.send(json_pong_reply(service_.ping()));
-          break;
-        case JsonRequestKind::kAdmin: {
-          const auto out = service_.admin(req.admin_command);
-          keep = c.send(out.ok ? json_admin_reply(out.output)
-                               : json_error_reply(out.error));
-          if (out.shutdown) {
-            request_stop();
-            keep = false;
-          }
-          break;
-        }
-        case JsonRequestKind::kExplore: {
-          const auto out = service_.explore(req.explore);
-          keep = c.send(out.ok ? json_explore_reply(out.report, out.summary)
-                               : json_error_reply(out.error));
-          break;
-        }
-      }
-      if (opt_.max_requests != 0 &&
-          service_.requests_served() >= opt_.max_requests) {
-        request_stop();
-        keep = false;
-      }
-      if (!keep) return;
-    }
-    if (buf.size() > kMaxFramePayload) {
-      c.send(json_error_reply(
-          {"bad-request", "request line exceeds the 64 MiB cap"}));
-      return;
-    }
-    if (stopping_.load(std::memory_order_relaxed)) return;
-    const ssize_t n = ::recv(c.fd, tmp, sizeof tmp, 0);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return;
-    }
-    buf.append(tmp, static_cast<std::size_t>(n));
-  }
+  return reply;
 }
 
 }  // namespace addm::serve

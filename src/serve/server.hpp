@@ -1,7 +1,12 @@
-// Socket front-end of the addm_serve daemon: accepts local connections,
-// detects the protocol mode per connection (binary framing vs JSON lines),
-// and dispatches requests onto a worker pool backed by one shared
-// ExploreService.
+// Socket front-end of the addm_serve daemon: accepts local connections and
+// serves each on a worker pool backed by one shared ExploreService.
+//
+// One connection loop serves both wire modes.  The first byte a client
+// sends picks the connection's codec (binary framing or JSON lines,
+// serve/protocol.hpp); the loop takes Requests off the socket through that
+// codec, runs each through one dispatch() that yields a Reply, and writes
+// the codec's encoding of it.  Nothing above the codec knows which mode a
+// connection speaks.
 //
 // Lifecycle contract (the part CI leans on):
 //  * start() binds and listens — Unix-domain socket by default, with
@@ -16,7 +21,8 @@
 //    to completion and their replies are written, pending cache state is
 //    flushed, and run() returns 0.
 //  * Hostile input never takes the daemon down: malformed frames and JSON
-//    get framed error replies (or a close), client disconnects mid-stream
+//    get error replies in the connection's mode (then a close where the
+//    stream has no trustworthy boundary left), client disconnects mid-stream
 //    abort only that connection, and writes use MSG_NOSIGNAL plus a send
 //    timeout so a stuck peer cannot wedge a worker forever.
 #pragma once
@@ -70,11 +76,14 @@ class Server {
   void request_stop();
 
  private:
-  struct Conn;
   void handle_connection(int fd);
-  void serve_binary(Conn& c);
-  void serve_json(Conn& c);
-  bool dispatch_frame(Conn& c, const Frame& frame);
+  /// The one connection loop: takes requests off the socket through the
+  /// connection's codec, dispatches each and writes its encoded reply.
+  void serve_connection(int fd, WireMode mode);
+  /// Runs one request against the service.  Clears `keep` when the
+  /// connection must close after this reply: admin shutdown, or
+  /// max_requests reached (both also start the drain).
+  Reply dispatch(const Request& req, bool& keep);
   void note_activity();
   void close_listener();
 

@@ -23,6 +23,25 @@ core::BatchOptions batch_options(const ServiceOptions& s) {
   return b;
 }
 
+// A served suite gets the same ceiling as an inline trace: no geometry may
+// hold more cells than one maximum-size frame carries as 32-bit addresses.
+constexpr std::size_t kMaxSuiteCells = kMaxFramePayload / 4;
+
+// Walks seq::scaled_suite's doubling (width first) without generating
+// anything: the refusal for the first geometry over the ceiling, else "".
+// Each side is checked before the product, so nothing overflows.
+std::string oversized_suite(seq::ArrayGeometry g, std::size_t scales) {
+  for (std::size_t i = 0; i < scales; ++i) {
+    if (g.width > kMaxSuiteCells || g.height > kMaxSuiteCells ||
+        g.size() > kMaxSuiteCells)
+      return "suite geometry " + std::to_string(g.width) + "x" +
+             std::to_string(g.height) + " is too large (at most " +
+             std::to_string(kMaxSuiteCells) + " cells per served trace)";
+    (i % 2 == 0 ? g.width : g.height) *= 2;
+  }
+  return {};
+}
+
 std::string maintenance_summary(const core::EvalCacheDir::MaintenanceStats& m) {
   std::string out;
   out += std::to_string(m.kept) + " kept (" + std::to_string(m.bytes_kept) +
@@ -52,6 +71,11 @@ ExploreService::ExploreOutcome ExploreService::explore(
   // first, then request traces in order, file-stem naming for unnamed file
   // traces.  This ordering is what makes the served report byte-comparable
   // to the offline run.
+  out.error.message = oversized_suite(req.suite_base, req.suite_scales);
+  if (!out.error.message.empty()) {
+    out.error.code = "io";
+    return out;
+  }
   std::vector<seq::AddressTrace> traces;
   try {
     if (req.suite_scales > 0) {

@@ -95,7 +95,6 @@ class ExploreService {
     return banner();
   }
 
-  const ServiceOptions& options() const { return opt_; }
   const char* banner() const { return "addm_serve protocol 1"; }
 
  private:

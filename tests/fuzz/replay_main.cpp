@@ -2,7 +2,7 @@
 // on the command line (directories are walked recursively, in sorted order)
 // to LLVMFuzzerTestOneInput once.
 //
-// Usage: trace_grammar_fuzz PATH...
+// Usage: FUZZ_TARGET PATH...
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>

@@ -549,5 +549,94 @@ TEST(ServeJson, EscapeProducesParseableStrings) {
   EXPECT_EQ(v.string, nasty);
 }
 
+// Each codec's request-taking rules, as the daemon applies them to one
+// connection's receive buffer.
+TEST(ServeCodec, TakeRequestFollowsEachModesRules) {
+  auto take = [](WireMode mode, std::string& buf, Request& req, ErrorInfo& err) {
+    err = {};
+    return take_request(mode, buf, req, err);
+  };
+  Request req;
+  ErrorInfo err;
+
+  // Binary: admin payloads lose trailing CR/LF; ping payloads are ignored;
+  // a reply type is unsupported but the stream goes on; a bad explore
+  // payload is a bad request; garbage closes.
+  std::string buf = encode_frame(kAdmin, "prune 10 0\r\n") + encode_frame(kPing, "x") +
+                    encode_frame(kPong, "") + encode_frame(kExplore, "bogus\n") + "junk";
+  ASSERT_EQ(take(WireMode::kBinary, buf, req, err), TakeStatus::kDone);
+  EXPECT_EQ(req.kind, RequestKind::kAdmin);
+  EXPECT_EQ(req.admin_command, "prune 10 0");
+  ASSERT_EQ(take(WireMode::kBinary, buf, req, err), TakeStatus::kDone);
+  EXPECT_EQ(req, Request{});
+  ASSERT_EQ(take(WireMode::kBinary, buf, req, err), TakeStatus::kError);
+  EXPECT_EQ(err.code, "unsupported");
+  EXPECT_EQ(err.message, "unexpected frame type 19");
+  ASSERT_EQ(take(WireMode::kBinary, buf, req, err), TakeStatus::kError);
+  EXPECT_EQ(err.code, "bad-request");
+  ASSERT_EQ(take(WireMode::kBinary, buf, req, err), TakeStatus::kClose);
+  EXPECT_EQ(err.code, "malformed-frame");
+  EXPECT_EQ(err.message, "bad frame magic");
+
+  // JSON: a trailing CR goes, empty lines are skipped, a bad line is a bad
+  // request and the next line still decodes; admin commands are kept as
+  // sent; a partial line waits for more bytes.
+  buf = "\r\n\n{\"op\":\"ping\"}\r\nnot json\n{\"op\":\"admin\",\"command\":\"flush\\r\"}\n{";
+  ASSERT_EQ(take(WireMode::kJson, buf, req, err), TakeStatus::kDone);
+  EXPECT_EQ(req.kind, RequestKind::kPing);
+  ASSERT_EQ(take(WireMode::kJson, buf, req, err), TakeStatus::kError);
+  EXPECT_EQ(err.code, "bad-request");
+  ASSERT_EQ(take(WireMode::kJson, buf, req, err), TakeStatus::kDone);
+  EXPECT_EQ(req.admin_command, "flush\r");
+  EXPECT_EQ(take(WireMode::kJson, buf, req, err), TakeStatus::kNeedMore);
+  EXPECT_EQ(buf, "{");
+
+  // A partial line over the 64 MiB cap closes the connection.
+  buf.assign(kMaxFramePayload + 1, ' ');
+  ASSERT_EQ(take(WireMode::kJson, buf, req, err), TakeStatus::kClose);
+  EXPECT_EQ(err.code, "bad-request");
+  EXPECT_EQ(err.message, "request line exceeds the 64 MiB cap");
+}
+
+TEST(ServeCodec, RepliesCarryEachKindInBothModes) {
+  Reply ok;
+  ok.ok = true;
+  ok.body = std::string(3u << 20, 'r');  // three full kChunk frames
+  ok.summary = {9, 7, 2, 0, 1};
+  Reply refused;
+  refused.error = {"io", "no such file\nsecond line"};
+  for (WireMode mode : {WireMode::kBinary, WireMode::kJson}) {
+    for (RequestKind kind : {RequestKind::kExplore, RequestKind::kAdmin, RequestKind::kPing}) {
+      for (const Reply& sent : {ok, refused}) {
+        std::string wire = encode_reply(mode, kind, sent);
+        Reply got;
+        std::string error;
+        ASSERT_EQ(take_reply(mode, wire, kind, got, error), TakeStatus::kDone) << error;
+        EXPECT_TRUE(wire.empty());
+        EXPECT_EQ(got.ok, sent.ok);
+        EXPECT_EQ(got.error.code, sent.error.code);
+        EXPECT_EQ(got.error.message, sent.error.message);
+        EXPECT_EQ(got.body, sent.body);
+        const bool summary = sent.ok && kind == RequestKind::kExplore;
+        EXPECT_EQ(got.summary.traces, summary ? 9u : 0u);
+        EXPECT_EQ(got.summary.errors, summary ? 1u : 0u);
+      }
+    }
+  }
+  // The binary explore reply is 1 MiB kChunk frames, then kDone.
+  std::string wire = encode_reply(WireMode::kBinary, RequestKind::kExplore, ok);
+  Frame f;
+  std::size_t consumed = 0;
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_EQ(decode_frame(wire, f, consumed), DecodeStatus::kFrame);
+    EXPECT_EQ(f.type, kChunk);
+    EXPECT_EQ(f.payload.size(), 1u << 20);
+    wire.erase(0, consumed);
+  }
+  ASSERT_EQ(decode_frame(wire, f, consumed), DecodeStatus::kFrame);
+  EXPECT_EQ(f.type, kDone);
+  EXPECT_EQ(consumed, wire.size());
+}
+
 }  // namespace
 }  // namespace addm::serve

@@ -14,6 +14,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <cstring>
@@ -315,6 +316,106 @@ TEST(ServeServer, OversizedSuiteIsAnIoErrorNotAnAllocation) {
   EXPECT_EQ(result.body, offline_report(seq::scaled_suite({8, 8}, 1), {}));
 }
 
+TEST(ServeServer, ServedSuiteOverTheFrameCeilingIsRefusedUpFront) {
+  // 65536x65536 is addressable (exactly 2^32 cells) but would generate
+  // 16 GiB per trace; served suites share the inline-trace ceiling of
+  // kMaxFramePayload / 4 cells and are refused before generation.
+  TestServer ts;
+  ServeClient client = ts.connect();
+  std::string error;
+  ExploreRequest req = suite_request(1);
+  req.suite_base = {65536, 65536};
+  ServeClient::Result result;
+  ASSERT_TRUE(client.explore(req, result, error)) << error;
+  EXPECT_FALSE(result.ok);
+  EXPECT_EQ(result.error.code, "io");
+  EXPECT_EQ(result.error.message,
+            "suite geometry 65536x65536 is too large (at most 16777216 cells "
+            "per served trace)");
+
+  // A later scale over the ceiling refuses the whole suite too.
+  req.suite_base = {2048, 4096};
+  req.suite_scales = 3;
+  ASSERT_TRUE(client.explore(req, result, error)) << error;
+  EXPECT_EQ(result.error.code, "io");
+  EXPECT_NE(result.error.message.find("suite geometry 4096x8192 is too large"),
+            std::string::npos)
+      << result.error.message;
+
+  // The daemon then serves the next request on the same connection.
+  ASSERT_TRUE(client.explore(suite_request(), result, error)) << error;
+  ASSERT_TRUE(result.ok) << result.error.message;
+  EXPECT_EQ(result.body, offline_report(seq::scaled_suite({8, 8}, 1), {}));
+}
+
+TEST(ServeServer, BothWireModesGiveEqualResults) {
+  // One daemon per mode, so memo state (and with it the summary counters)
+  // evolves identically on both sides.
+  TestServer binary_daemon;
+  TestServer json_daemon;
+  ServeClient binary = binary_daemon.connect(false);
+  ServeClient json = json_daemon.connect(true);
+
+  auto explore = [](ExploreRequest e) {
+    Request r;
+    r.kind = RequestKind::kExplore;
+    r.explore = std::move(e);
+    return r;
+  };
+  auto admin = [](const char* command) {
+    Request r;
+    r.kind = RequestKind::kAdmin;
+    r.admin_command = command;
+    return r;
+  };
+  ExploreRequest missing;
+  TraceSource t;
+  t.kind = TraceSource::Kind::kPath;
+  t.name = testing::TempDir() + "no_such_parity.trace";
+  missing.traces.push_back(t);
+
+  struct Case {
+    const char* name;
+    Request request;
+    bool ok;
+    const char* code;
+    // A request the codec itself rejects names that codec's syntax in its
+    // message, so only the code is compared.
+    bool codec_error;
+  };
+  const std::vector<Case> cases = {
+      {"ping", Request{}, true, "", false},
+      {"suite explore", explore(suite_request()), true, "", false},
+      {"repeated explore", explore(suite_request()), true, "", false},
+      {"empty explore", explore(ExploreRequest{}), false, "bad-request", true},
+      {"missing path", explore(missing), false, "io", false},
+      {"admin flush", admin("flush"), true, "", false},
+      {"unknown admin verb", admin("rewind"), false, "bad-request", false},
+      {"admin without cache dir", admin("compact"), false, "bad-request", false},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    ServeClient::Result a, b;
+    std::string error;
+    ASSERT_TRUE(binary.exchange(c.request, a, error)) << error;
+    ASSERT_TRUE(json.exchange(c.request, b, error)) << error;
+    EXPECT_EQ(a.ok, c.ok);
+    EXPECT_EQ(a.ok, b.ok);
+    EXPECT_EQ(a.error.code, c.code);
+    EXPECT_EQ(a.error.code, b.error.code);
+    if (c.codec_error)
+      EXPECT_FALSE(a.error.message.empty() || b.error.message.empty());
+    else
+      EXPECT_EQ(a.error.message, b.error.message);
+    EXPECT_EQ(a.body, b.body);
+    EXPECT_EQ(a.summary.traces, b.summary.traces);
+    EXPECT_EQ(a.summary.evaluations, b.summary.evaluations);
+    EXPECT_EQ(a.summary.cache_hits, b.summary.cache_hits);
+    EXPECT_EQ(a.summary.disk_hits, b.summary.disk_hits);
+    EXPECT_EQ(a.summary.errors, b.summary.errors);
+  }
+}
+
 TEST(ServeServer, GarbageAndDisconnectsNeverKillTheDaemon) {
   TestServer ts;
   {
@@ -490,6 +591,126 @@ TEST(ServeServer, ConcurrentClientsShareTheMemoSafely) {
   for (int i = 0; i < 8; ++i)
     EXPECT_EQ(bodies[i], i % 2 == 0 ? expect_default : expect_no_fsm)
         << "client " << i;
+}
+
+// A fake daemon on a temporary Unix socket: accepts one connection, reads
+// one whole request, answers with canned bytes and closes.  Reading the
+// request first matters: closing with unread bytes would turn the client's
+// EOF into a connection reset.
+struct FakePeer {
+  std::string path;
+  int listen_fd = -1;
+  std::thread thread;
+
+  FakePeer(const std::string& name, WireMode mode, std::string reply)
+      : path(testing::TempDir() + name + ".sock") {
+    ::unlink(path.c_str());
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, path.c_str(), sizeof addr.sun_path - 1);
+    listen_fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    EXPECT_EQ(::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+    EXPECT_EQ(::listen(listen_fd, 1), 0);
+    thread = std::thread([this, mode, reply = std::move(reply)] {
+      const int fd = ::accept(listen_fd, nullptr, nullptr);
+      if (fd < 0) return;
+      std::string buf;
+      Request req;
+      ErrorInfo err;
+      char tmp[4096];
+      while (take_request(mode, buf, req, err) == TakeStatus::kNeedMore) {
+        const ssize_t n = ::recv(fd, tmp, sizeof tmp, 0);
+        if (n <= 0) break;
+        buf.append(tmp, static_cast<std::size_t>(n));
+      }
+      ::send(fd, reply.data(), reply.size(), MSG_NOSIGNAL);
+      ::close(fd);
+    });
+  }
+  ~FakePeer() {
+    thread.join();
+    ::close(listen_fd);
+    ::unlink(path.c_str());
+  }
+};
+
+TEST(ServeClient, ReplyErrorsAreTransportFailures) {
+  struct Case {
+    const char* name;
+    WireMode mode;
+    RequestKind kind;
+    std::string reply;
+    const char* error;
+  };
+  const std::vector<Case> cases = {
+      {"closed_mid_reply", WireMode::kBinary, RequestKind::kExplore,
+       encode_frame(kChunk, "trace,width\n"),
+       "server closed the connection mid-reply"},
+      {"closed_mid_line", WireMode::kJson, RequestKind::kPing,
+       "{\"ok\":true,\"po", "server closed the connection mid-reply"},
+      {"malformed_frame", WireMode::kBinary, RequestKind::kPing, "garbage",
+       "malformed reply frame: bad frame magic"},
+      {"unexpected_type", WireMode::kBinary, RequestKind::kAdmin,
+       encode_frame(kPong, "addm_serve protocol 1"),
+       "unexpected reply frame type 19"},
+      {"chunk_to_ping", WireMode::kBinary, RequestKind::kPing,
+       encode_frame(kChunk, "x"), "unexpected reply frame type 16"},
+      {"json_without_ok", WireMode::kJson, RequestKind::kExplore,
+       "{\"report\":\"x\"}\n", "reply missing \"ok\" field"},
+      {"json_not_an_object", WireMode::kJson, RequestKind::kAdmin, "[1]\n",
+       "malformed reply line: "},
+      {"malformed_summary", WireMode::kBinary, RequestKind::kExplore,
+       encode_frame(kChunk, "x") + encode_frame(kDone, "traces many\n"),
+       "malformed done summary"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    FakePeer peer(std::string("fake_peer_") + c.name, c.mode, c.reply);
+    ServeClient client;
+    client.set_json_mode(c.mode == WireMode::kJson);
+    std::string error;
+    ASSERT_TRUE(client.connect_unix(peer.path, error)) << error;
+    Request req;
+    req.kind = c.kind;
+    if (c.kind == RequestKind::kExplore) req.explore = suite_request();
+    if (c.kind == RequestKind::kAdmin) req.admin_command = "stats";
+    ServeClient::Result result;
+    EXPECT_FALSE(client.exchange(req, result, error));
+    EXPECT_EQ(error, c.error);
+  }
+}
+
+TEST(ServeClient, ServerErrorsAreResultsNotTransportFailures) {
+  // A kError frame (or ok:false line) completes the exchange; a ping that
+  // fails this way is reported through ping()'s transport error.
+  {
+    FakePeer peer("fake_peer_error_frame", WireMode::kBinary,
+                  encode_frame(kChunk, "partial") +
+                      encode_frame(kError, encode_error({"io", "disk gone"})));
+    ServeClient client;
+    std::string error;
+    ASSERT_TRUE(client.connect_unix(peer.path, error)) << error;
+    ServeClient::Result result;
+    ASSERT_TRUE(client.explore(suite_request(), result, error)) << error;
+    EXPECT_FALSE(result.ok);
+    EXPECT_EQ(result.error.code, "io");
+    EXPECT_EQ(result.error.message, "disk gone");
+  }
+  {
+    FakePeer peer("fake_peer_ping_error", WireMode::kJson,
+                  "{\"ok\":false,\"message\":\"no\"}\n");
+    ServeClient client;
+    client.set_json_mode(true);
+    std::string error, banner;
+    ASSERT_TRUE(client.connect_unix(peer.path, error)) << error;
+    EXPECT_FALSE(client.ping(banner, error));
+    EXPECT_EQ(error, "ping failed: error");
+  }
+  ServeClient unconnected;
+  ServeClient::Result result;
+  std::string error;
+  EXPECT_FALSE(unconnected.admin("stats", result, error));
+  EXPECT_EQ(error, "not connected");
 }
 
 }  // namespace
