@@ -35,7 +35,8 @@ void BM_ColdRunWithFlush(benchmark::State& state) {
     opt.cache_dir = bench_dir("cold");  // empty dir: every trace evaluated + stored
     state.ResumeTiming();
     core::BatchExplorer explorer(opt);
-    benchmark::DoNotOptimize(explorer.run(suite()).disk_entries_stored);
+    explorer.run(suite());
+    benchmark::DoNotOptimize(explorer.flush_disk().stored);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(suite().size()));
@@ -48,7 +49,11 @@ void BM_DiskWarmRun(benchmark::State& state) {
   core::BatchOptions opt;
   opt.threads = static_cast<std::size_t>(state.range(0));
   opt.cache_dir = bench_dir("warm");
-  core::BatchExplorer(opt).run(suite());  // populate once
+  {
+    core::BatchExplorer populate(opt);  // populate once
+    populate.run(suite());
+    populate.flush_disk();
+  }
   for (auto _ : state) {
     core::BatchExplorer explorer(opt);  // fresh memo table: all hits come from disk
     benchmark::DoNotOptimize(explorer.run(suite()).disk_hits);

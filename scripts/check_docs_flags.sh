@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
 # Docs/CLI drift check, both directions: fails if README.md or docs/*.md
 # reference a `--flag` that none of the addm tools' --help output prints,
-# or if addm_explore --help or addm_client --help prints a flag README.md
-# never mentions.  Keeps the CLI reference tables honest — a renamed, added
+# or if any tool's --help prints a flag README.md never mentions.  Keeps the CLI reference tables honest — a renamed, added
 # or removed flag must be fixed in the docs in the same commit.
 #
 # Usage: scripts/check_docs_flags.sh BUILD_DIR
@@ -10,9 +9,10 @@ set -euo pipefail
 
 bindir=${1:?usage: check_docs_flags.sh BUILD_DIR (containing the addm tools)}
 repo=$(cd "$(dirname "$0")/.." && pwd)
+tools='addm_explore addm_trace_gen addm_trace_import addm_merge addm_cache addm_serve addm_client'
 
 help_flags=$(
-  for tool in addm_explore addm_trace_gen addm_trace_import addm_merge addm_cache addm_serve addm_client; do
+  for tool in $tools; do
     "$bindir/$tool" --help 2>&1
   done | grep -oE -- '--[a-z][a-z0-9-]*' | sort -u
 )
@@ -34,7 +34,7 @@ for flag in $doc_flags; do
 done
 
 readme_flags=$(grep -oE -- '--[a-z][a-z0-9-]*' "$repo/README.md" | sort -u)
-for tool in addm_explore addm_client; do
+for tool in $tools; do
   for flag in $("$bindir/$tool" --help 2>&1 | grep -oE -- '--[a-z][a-z0-9-]*' | sort -u); do
     if grep -qxF -- "$flag" <<<"$readme_flags"; then continue; fi
     echo "error: $tool --help prints $flag but README.md never mentions it" >&2

@@ -96,18 +96,46 @@ struct BatchExplorer::Impl {
   /// persistent cache directory: traces resolving to these count as disk
   /// hits, independent of scheduling.
   std::unordered_set<std::uint64_t> disk_keys;
-  /// Deferred-flush state (BatchOptions::defer_disk_flush): successful
-  /// evaluations and warm-start hit counts awaiting flush_disk(), guarded
-  /// by `mu`.  pending_keys mirrors pending_entries so a key is never
-  /// queued twice across runs.
+  /// The write queue: successful evaluations and warm-start hit counts
+  /// queued by run() for flush_disk(), guarded by `mu`.  pending_keys
+  /// mirrors pending_entries so a key is never queued twice across runs.
   std::vector<EvalCacheEntry> pending_entries;
   std::unordered_set<std::uint64_t> pending_keys;
   std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint64_t> pending_hits;
-  /// Serializes every write this process makes to the cache directory
-  /// (store_batch, record_hits, budget prune): the eval-cache maintenance
-  /// operations assume no concurrent writer, and the serve daemon calls
-  /// run()/flush_disk() from several threads.
+  /// Held for every write to the cache directory (flush and maintenance):
+  /// the eval-cache maintenance operations assume no concurrent writer,
+  /// and the serve daemon calls run(), flush_disk() and prune_disk() from
+  /// several threads.
   std::mutex flush_mu;
+
+  /// flush_disk()'s write sequence; the caller holds flush_mu.  Store the
+  /// queued batch, credit the queued hits, then prune back under the
+  /// budget when anything was written.
+  FlushStats flush_locked(const BatchOptions& opt) {
+    std::vector<EvalCacheEntry> batch;
+    std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint64_t> queued_hits;
+    {
+      std::lock_guard<std::mutex> lk(mu);
+      batch.swap(pending_entries);
+      pending_keys.clear();
+      queued_hits.swap(pending_hits);
+    }
+    std::vector<std::pair<EvalCacheKey, std::uint64_t>> hits;
+    hits.reserve(queued_hits.size());
+    for (const auto& [key, count] : queued_hits)
+      hits.push_back({{key.first, key.second}, count});
+
+    FlushStats stats;
+    EvalCacheDir store(opt.cache_dir);
+    if (!batch.empty()) stats.stored = store.store_batch(batch);
+    if (!hits.empty()) store.record_hits(hits);
+    if (opt.cache_budget_bytes != 0 && (stats.stored != 0 || !hits.empty())) {
+      const EvalCacheDir::MaintenanceStats pruned =
+          store.prune(UINT64_MAX, opt.cache_budget_bytes);
+      if (pruned.ok) stats.evicted = pruned.evicted;
+    }
+    return stats;
+  }
 };
 
 namespace {
@@ -138,39 +166,22 @@ std::size_t BatchExplorer::pending_flush() const {
   return impl_->pending_entries.size();
 }
 
-BatchExplorer::FlushStats BatchExplorer::write_disk(
-    const std::vector<EvalCacheEntry>& batch,
-    const std::vector<std::pair<EvalCacheKey, std::uint64_t>>& hits) {
-  FlushStats stats;
-  EvalCacheDir store(opt_.cache_dir);
-  if (!batch.empty()) stats.stored = store.store_batch(batch);
-  if (!hits.empty()) store.record_hits(hits);
-  if (opt_.cache_budget_bytes != 0 && (stats.stored != 0 || !hits.empty())) {
-    const EvalCacheDir::MaintenanceStats pruned =
-        store.prune(UINT64_MAX, opt_.cache_budget_bytes);
-    if (pruned.ok) stats.evicted = pruned.evicted;
-  }
-  return stats;
-}
-
 BatchExplorer::FlushStats BatchExplorer::flush_disk() {
   if (opt_.cache_dir.empty() || !opt_.memoize) return {};
-  // One writer at a time: flush_mu serializes this process's store/record/
-  // prune sequence so the budget prune never runs under a concurrent write.
   std::lock_guard<std::mutex> flush_lk(impl_->flush_mu);
-  std::vector<EvalCacheEntry> batch;
-  std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint64_t> pending_hits;
-  {
-    std::lock_guard<std::mutex> lk(impl_->mu);
-    batch.swap(impl_->pending_entries);
-    impl_->pending_keys.clear();
-    pending_hits.swap(impl_->pending_hits);
+  return impl_->flush_locked(opt_);
+}
+
+EvalCacheDir::MaintenanceStats BatchExplorer::prune_disk(std::uint64_t max_entries,
+                                                        std::uint64_t max_bytes) {
+  if (opt_.cache_dir.empty() || !opt_.memoize) {
+    EvalCacheDir::MaintenanceStats none;
+    none.ok = false;
+    return none;
   }
-  std::vector<std::pair<EvalCacheKey, std::uint64_t>> hits;
-  hits.reserve(pending_hits.size());
-  for (const auto& [key, count] : pending_hits)
-    hits.push_back({{key.first, key.second}, count});
-  return write_disk(batch, hits);
+  std::lock_guard<std::mutex> flush_lk(impl_->flush_mu);
+  impl_->flush_locked(opt_);
+  return EvalCacheDir(opt_.cache_dir).prune(max_entries, max_bytes);
 }
 
 BatchResult BatchExplorer::run(const std::vector<seq::AddressTrace>& traces) {
@@ -223,10 +234,10 @@ BatchResult BatchExplorer::run(const std::vector<seq::AddressTrace>& traces,
   std::size_t evaluations = 0;
   std::size_t cache_hits = 0;
   std::size_t disk_hits = 0;
-  /// Owner-evaluated successful outcomes, flushed to disk after the run.
+  /// Owner-evaluated successful outcomes, queued for flush_disk().
   std::vector<std::pair<std::uint64_t, std::shared_ptr<const Outcome>>> fresh;
-  /// Per-trace-fingerprint disk-hit counts, credited to the persistent
-  /// cache after the run (std::map: deterministic iteration by key).
+  /// Per-trace-fingerprint disk-hit counts, queued for flush_disk() to
+  /// credit to the persistent cache.
   std::map<std::uint64_t, std::uint64_t> disk_hit_counts;
 
   auto work = [&](std::size_t i) {
@@ -295,21 +306,12 @@ BatchResult BatchExplorer::run(const std::vector<seq::AddressTrace>& traces,
     pool.parallel_for(traces.size(), work);
   }
 
-  // Flush: persist this run's newly computed successes.  Errors are never
-  // cached (a transient failure must not become permanent), and I/O errors
-  // only cost the entry.  Owners finish — and, with duplicated traces, are
-  // even *chosen* — in scheduling order, but store_batch writes the batch
-  // in cache-key order under one insertion generation, so cache directories
-  // (index.txt line order included) come out byte-identical at every thread
-  // count.  After the store, warm-start hits observed this run are credited
-  // to their entries (prune's eviction priority feeds on them), and when a
-  // byte budget is configured and the run wrote anything, the directory is
-  // pruned back under it — the flush-time enforcement that keeps a bounded
-  // directory bounded.  write_disk() is that sequence for both modes.
-  if (use_disk && opt_.defer_disk_flush) {
-    // Daemon mode: queue this run's successes and hit counts for the next
-    // flush_disk() instead of writing here, so a long-lived process decides
-    // when (and under which lock) the directory is touched.
+  // Queue this run's successes and hit counts for flush_disk(); run()
+  // never writes the directory.  Errors are never queued (a transient
+  // failure must not become permanent).  Owners finish — and, with
+  // duplicated traces, are even *chosen* — in scheduling order; flush_disk()
+  // sorts, so the directory bytes do not depend on it.
+  if (use_disk) {
     std::lock_guard<std::mutex> lk(impl_->mu);
     for (const auto& [trace_fp, outcome] : fresh) {
       const std::uint64_t key = combined_key(trace_fp, opt_fp);
@@ -322,26 +324,6 @@ BatchResult BatchExplorer::run(const std::vector<seq::AddressTrace>& traces,
     }
     for (const auto& [trace_fp, count] : disk_hit_counts)
       impl_->pending_hits[{trace_fp, opt_fp}] += count;
-  } else if (use_disk) {
-    // flush_mu: concurrent run()s must not interleave their store/record/
-    // prune sequences (prune assumes no concurrent writer in-process too).
-    std::lock_guard<std::mutex> flush_lk(impl_->flush_mu);
-    std::vector<EvalCacheEntry> batch;
-    batch.reserve(fresh.size());
-    for (const auto& [trace_fp, outcome] : fresh) {
-      EvalCacheEntry e;
-      e.key = {trace_fp, opt_fp};
-      e.points = outcome->points;
-      e.pareto = outcome->pareto;
-      batch.push_back(std::move(e));
-    }
-    std::vector<std::pair<EvalCacheKey, std::uint64_t>> hits;
-    hits.reserve(disk_hit_counts.size());
-    for (const auto& [trace_fp, count] : disk_hit_counts)
-      hits.push_back({{trace_fp, opt_fp}, count});
-    const FlushStats written = write_disk(batch, hits);
-    result.disk_entries_stored = written.stored;
-    result.disk_entries_evicted = written.evicted;
   }
 
   result.evaluations = evaluations;

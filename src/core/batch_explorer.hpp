@@ -6,9 +6,9 @@
 // Determinism contract: for a fixed input trace list and options, the
 // BatchResult entries — and therefore batch_report_csv / batch_report_json —
 // are byte-identical regardless of thread count, scheduling, or cache
-// state (cold, memo-warm, or disk-warm); newly flushed cache directories
-// are likewise byte-identical (entries are canonical and the index is
-// written in cache-key order).  Entries are ordered by input position;
+// state (cold, memo-warm, or disk-warm); cache directories written by
+// flush_disk() are likewise byte-identical (entries are canonical and the
+// index is written in cache-key order).  Entries are ordered by input position;
 // nothing schedule- or cache-dependent (timings, worker ids, hit counts)
 // enters the serialized reports.  Cache statistics live only in
 // BatchResult fields: they are deterministic for a fixed input and cache
@@ -20,16 +20,13 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
+#include "core/eval_cache.hpp"
 #include "core/explorer.hpp"
 #include "seq/trace.hpp"
 
 namespace addm::core {
-
-struct EvalCacheEntry;
-struct EvalCacheKey;
 
 /// Configuration for one BatchExplorer.  Value type; copying is cheap
 /// relative to an exploration.
@@ -47,24 +44,16 @@ struct BatchOptions {
   /// When non-empty, the directory of a persistent evaluation cache
   /// (core/eval_cache).  Each run() probes the store for exactly the input
   /// traces' (trace, options) keys — O(inputs), not O(cache size) — and
-  /// flushes newly computed results back on completion.  Multiple
-  /// concurrent processes may share one directory.  Requires `memoize`;
-  /// ignored when memoization is disabled.
+  /// queues newly computed results for flush_disk().  Multiple concurrent
+  /// processes may share one directory.  Requires `memoize`; ignored when
+  /// memoization is disabled.
   std::string cache_dir;
   /// When non-zero, an on-disk size budget (total payload bytes) enforced
-  /// after each flush by pruning the cache directory in the deterministic
-  /// eviction order of EvalCacheDir::prune, so a bounded directory stays
-  /// bounded across runs.  Lifecycle-only: it never affects results and is
-  /// not fingerprinted.  Requires `cache_dir`.
+  /// by every flush_disk() that writes anything, by pruning the cache
+  /// directory in the deterministic eviction order of EvalCacheDir::prune,
+  /// so a bounded directory stays bounded across runs.  Lifecycle-only: it
+  /// never affects results and is not fingerprinted.  Requires `cache_dir`.
   std::uint64_t cache_budget_bytes = 0;
-  /// Daemon mode: when true, run() never writes the cache directory itself.
-  /// Newly computed results and warm-start hit counts accumulate in memory
-  /// (pending_flush() reports how many) until flush_disk() persists them —
-  /// one serialized writer, which is what lets a long-lived process run
-  /// explorations concurrently while honoring the eval-cache maintenance
-  /// contract ("compact/prune assume no concurrent writer").  Requires
-  /// `cache_dir`; without one the flag is inert.
-  bool defer_disk_flush = false;
 };
 
 /// Per-trace exploration outcome, in input order.  Plain value type: every
@@ -89,14 +78,21 @@ struct BatchResult {
   std::size_t cache_hits = 0;   ///< traces served from the in-memory memo table
   std::size_t disk_hits = 0;    ///< traces served from entries loaded off disk
   std::size_t disk_entries_loaded = 0;  ///< options-matching entries warm-started
-  std::size_t disk_entries_stored = 0;  ///< new entries flushed to disk this run
-  std::size_t disk_entries_evicted = 0;  ///< entries pruned by cache_budget_bytes
   double wall_seconds = 0.0;    ///< not part of any serialized report
 };
 
 /// Concurrent, memoizing driver around explore_generators.  One instance
 /// owns one in-memory memo table (and, when configured, one handle to a
 /// persistent cache directory).
+///
+/// Cache lifecycle: run() only reads the cache directory.  It queues its
+/// newly computed successes and warm-start hit counts in memory, and
+/// flush_disk() — the one write path — persists the queue.  prune_disk()
+/// runs maintenance behind the same lock, so an instance is the only
+/// writer of its directory in its process and never writes it
+/// concurrently with itself, which is the eval-cache rule "compact/prune
+/// assume no concurrent writer".  A one-shot caller runs then flushes; a
+/// long-lived one (the serve daemon) flushes on its own policy.
 class BatchExplorer {
  public:
   explicit BatchExplorer(BatchOptions opt = {});
@@ -108,12 +104,14 @@ class BatchExplorer {
 
   /// Explores every trace with `options().explore`.  With a cache_dir
   /// configured, every run() probes the store for the input keys it does
-  /// not already hold in memory and flushes newly computed results; disk
-  /// I/O errors degrade to cache misses or unsaved entries, never failures.
+  /// not already hold in memory and queues newly computed successes (errors
+  /// are never cached) and warm-start hit counts for flush_disk(); it never
+  /// writes the directory.  Disk damage degrades to cache misses, never
+  /// failures.
   ///
-  /// Concurrency: run() may be called from several threads at once — the
-  /// memo table is shared (two racing identical traces evaluate once), and
-  /// this process's disk writes are serialized internally.  Each concurrent
+  /// Concurrency: run() may be called from several threads at once, and
+  /// concurrently with flush_disk() and prune_disk() — the memo table is
+  /// shared (two racing identical traces evaluate once).  Each concurrent
   /// run() uses its own workers against the full `threads` budget, so
   /// the caller owns not oversubscribing across simultaneous runs (the
   /// serve daemon bounds this with its request-thread count).
@@ -133,16 +131,26 @@ class BatchExplorer {
     std::size_t evicted = 0;  ///< entries pruned by cache_budget_bytes
   };
 
-  /// Persists everything accumulated under `defer_disk_flush`: stores the
-  /// pending entry batch, credits pending warm-start hits, and — when
-  /// cache_budget_bytes is set — prunes the directory back under budget.
-  /// Serialized against itself (one writer at a time) and safe to call
-  /// concurrently with run()s; a no-op without a cache_dir or pending work.
+  /// The one write path to cache_dir: stores the queued entries, credits
+  /// the queued warm-start hits, and — when cache_budget_bytes is set and
+  /// anything was written — prunes the directory back under budget.  The
+  /// store writes its batch in cache-key order under one insertion
+  /// generation, so the directory bytes do not depend on thread count or
+  /// scheduling.  Serialized against itself and prune_disk(); safe to call
+  /// concurrently with run().  I/O errors only cost entries.  A no-op
+  /// without a cache_dir or queued work.
   FlushStats flush_disk();
 
-  /// Entries computed but not yet persisted (only grows when
-  /// defer_disk_flush is set).
+  /// Entries queued by run() and not yet persisted by flush_disk().
   std::size_t pending_flush() const;
+
+  /// Cache maintenance behind the writer lock: flushes the queue, then
+  /// runs EvalCacheDir::prune(max_entries, max_bytes) on cache_dir, so
+  /// queued entries are persisted before the rewrite and no flush runs
+  /// during it.  UINT64_MAX for both limits is EvalCacheDir::compact().
+  /// Without a cache_dir it does nothing and reports ok=false.
+  EvalCacheDir::MaintenanceStats prune_disk(std::uint64_t max_entries,
+                                            std::uint64_t max_bytes);
 
   /// Number of keys in the in-memory memo table (disk-loaded included).
   std::size_t cache_size() const;
@@ -153,13 +161,6 @@ class BatchExplorer {
 
  private:
   struct Impl;
-  /// The one write sequence against cache_dir: store the batch, credit the
-  /// hits, then prune back under cache_budget_bytes when anything was
-  /// written.  The caller holds Impl::flush_mu.
-  FlushStats write_disk(
-      const std::vector<EvalCacheEntry>& batch,
-      const std::vector<std::pair<EvalCacheKey, std::uint64_t>>& hits);
-
   BatchOptions opt_;
   Impl* impl_;
 };

@@ -27,7 +27,6 @@ struct SragConfig {
 
   std::size_t num_registers() const { return registers.size(); }
   std::size_t num_flipflops() const;
-  std::size_t register_length(std::size_t i) const { return registers[i].size(); }
 
   /// Validates structural invariants (non-empty registers, select lines in
   /// range and pairwise distinct, counts >= 1). Throws std::invalid_argument.

@@ -158,9 +158,6 @@ NetId NetlistBuilder::and_tree(std::span<const NetId> xs) {
 NetId NetlistBuilder::or_tree(std::span<const NetId> xs) {
   return reduce_tree(CellType::Or2, xs, kConst0);
 }
-NetId NetlistBuilder::xor_tree(std::span<const NetId> xs) {
-  return reduce_tree(CellType::Xor2, xs, kConst0);
-}
 
 std::vector<NetId> NetlistBuilder::constant_word(std::uint64_t value, int bits) const {
   std::vector<NetId> word(static_cast<std::size_t>(bits));

@@ -63,7 +63,6 @@ class NetlistBuilder {
   /// Balanced reduction trees; empty spans yield the operation's identity.
   NetId and_tree(std::span<const NetId> xs);
   NetId or_tree(std::span<const NetId> xs);
-  NetId xor_tree(std::span<const NetId> xs);
 
   /// Constant word, LSB first.
   std::vector<NetId> constant_word(std::uint64_t value, int bits) const;

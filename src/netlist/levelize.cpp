@@ -4,12 +4,6 @@
 
 namespace addm::netlist {
 
-std::size_t Levelization::max_net_level() const {
-  std::uint32_t m = 0;
-  for (std::uint32_t l : net_level) m = std::max(m, l);
-  return m;
-}
-
 std::optional<Levelization> levelize(const Netlist& nl) {
   const auto order = nl.topo_order();
   if (!order) return std::nullopt;

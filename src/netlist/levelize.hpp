@@ -43,7 +43,6 @@ struct Levelization {
   std::size_t num_levels() const {
     return level_begin.empty() ? 0 : level_begin.size() - 1;
   }
-  std::size_t max_net_level() const;
 };
 
 /// Levelizes `nl`.  Empty optional if the netlist has a combinational loop

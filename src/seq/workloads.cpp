@@ -166,25 +166,34 @@ std::vector<AddressTrace> standard_suite(ArrayGeometry g) {
 
 std::vector<AddressTrace> scaled_suite(ArrayGeometry base, std::size_t scales) {
   // Every geometry is checked before any trace is generated, so an oversized
-  // request fails fast instead of attempting multi-GB allocations.  Doubling
-  // keeps a valid base valid, and an addressable side is below 2^32, so the
-  // doubling cannot overflow and the loop ends after at most 64 geometries.
+  // request fails fast instead of attempting multi-GB allocations.  For an
+  // even base of at least 4x4, at most 2^32 cells is exactly addressable().
   require_suite_geometry(base);
-  std::vector<ArrayGeometry> geometries;
-  for (ArrayGeometry g = base; geometries.size() < scales;) {
-    if (!addressable(g))
-      throw std::invalid_argument("suite geometry " + std::to_string(g.width) + "x" +
-                                  std::to_string(g.height) +
-                                  " is too large (at most 2^32 cells, each side below 2^32)");
-    geometries.push_back(g);
-    (geometries.size() % 2 == 1 ? g.width : g.height) *= 2;
-  }
+  if (const auto g = oversized_suite_geometry(base, scales, std::size_t{1} << 32))
+    throw std::invalid_argument("suite geometry " + std::to_string(g->width) + "x" +
+                                std::to_string(g->height) +
+                                " is too large (at most 2^32 cells, each side below 2^32)");
   std::vector<AddressTrace> all;
-  for (const ArrayGeometry& g : geometries) {
-    auto suite = standard_suite(g);
+  for (std::size_t i = 0; i < scales; ++i) {
+    auto suite = standard_suite(base);
     std::move(suite.begin(), suite.end(), std::back_inserter(all));
+    (i % 2 == 0 ? base.width : base.height) *= 2;
   }
   return all;
+}
+
+std::optional<ArrayGeometry> oversized_suite_geometry(ArrayGeometry base,
+                                                      std::size_t scales,
+                                                      std::size_t max_cells) {
+  // Doubling, width first.  A zero side stays zero cells at every scale.
+  // Dividing instead of multiplying keeps the test overflow-free, and sides
+  // stay at most max_cells until the walk stops.
+  if (base.width == 0 || base.height == 0) return std::nullopt;
+  for (std::size_t i = 0; i < scales; ++i) {
+    if (base.width > max_cells / base.height) return base;
+    (i % 2 == 0 ? base.width : base.height) *= 2;
+  }
+  return std::nullopt;
 }
 
 }  // namespace addm::seq

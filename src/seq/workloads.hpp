@@ -5,6 +5,8 @@
 // mapping procedure splits them into RowAS/ColAS itself.
 #pragma once
 
+#include <optional>
+
 #include "seq/trace.hpp"
 
 namespace addm::seq {
@@ -78,5 +80,17 @@ std::vector<AddressTrace> standard_suite(ArrayGeometry g);
 /// before generating any trace, if `base` fails standard_suite's
 /// requirement or any of the geometries is not addressable().
 std::vector<AddressTrace> scaled_suite(ArrayGeometry base, std::size_t scales);
+
+/// Walks scaled_suite's geometries without generating anything and returns
+/// the first one holding more than `max_cells` cells, or nullopt when all
+/// fit.  Overflow-free for any base and limit.
+std::optional<ArrayGeometry> oversized_suite_geometry(ArrayGeometry base,
+                                                      std::size_t scales,
+                                                      std::size_t max_cells);
+
+/// Cell ceiling per geometry for the suites addm_explore --suite and the
+/// serve daemon generate on request: 2^24 cells, 64 MiB of 32-bit
+/// addresses per trace.  scaled_suite itself accepts up to 2^32 cells.
+inline constexpr std::size_t kMaxSuiteCells = std::size_t{1} << 24;
 
 }  // namespace addm::seq

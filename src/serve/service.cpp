@@ -19,28 +19,12 @@ core::BatchOptions batch_options(const ServiceOptions& s) {
   b.memoize = true;
   b.cache_dir = s.cache_dir;
   b.cache_budget_bytes = s.cache_budget_bytes;
-  b.defer_disk_flush = true;
   return b;
 }
 
 // A served suite gets the same ceiling as an inline trace: no geometry may
 // hold more cells than one maximum-size frame carries as 32-bit addresses.
-constexpr std::size_t kMaxSuiteCells = kMaxFramePayload / 4;
-
-// Walks seq::scaled_suite's doubling (width first) without generating
-// anything: the refusal for the first geometry over the ceiling, else "".
-// Each side is checked before the product, so nothing overflows.
-std::string oversized_suite(seq::ArrayGeometry g, std::size_t scales) {
-  for (std::size_t i = 0; i < scales; ++i) {
-    if (g.width > kMaxSuiteCells || g.height > kMaxSuiteCells ||
-        g.size() > kMaxSuiteCells)
-      return "suite geometry " + std::to_string(g.width) + "x" +
-             std::to_string(g.height) + " is too large (at most " +
-             std::to_string(kMaxSuiteCells) + " cells per served trace)";
-    (i % 2 == 0 ? g.width : g.height) *= 2;
-  }
-  return {};
-}
+static_assert(seq::kMaxSuiteCells == kMaxFramePayload / 4);
 
 std::string maintenance_summary(const core::EvalCacheDir::MaintenanceStats& m) {
   std::string out;
@@ -71,9 +55,13 @@ ExploreService::ExploreOutcome ExploreService::explore(
   // first, then request traces in order, file-stem naming for unnamed file
   // traces.  This ordering is what makes the served report byte-comparable
   // to the offline run.
-  out.error.message = oversized_suite(req.suite_base, req.suite_scales);
-  if (!out.error.message.empty()) {
+  if (const auto g = seq::oversized_suite_geometry(req.suite_base, req.suite_scales,
+                                                   seq::kMaxSuiteCells)) {
     out.error.code = "io";
+    out.error.message = "suite geometry " + std::to_string(g->width) + "x" +
+                        std::to_string(g->height) + " is too large (at most " +
+                        std::to_string(seq::kMaxSuiteCells) +
+                        " cells per served trace)";
     return out;
   }
   std::vector<seq::AddressTrace> traces;
@@ -123,16 +111,12 @@ ExploreService::ExploreOutcome ExploreService::explore(
   // Flush policy: opportunistic, after replying would be nicer latency-wise
   // but flushing here keeps the "reply sent => results durable-eligible"
   // ordering simple; the flush itself is bounded by pending volume.
-  if (opt_.flush_entries > 0 &&
-      explorer_.pending_flush() >= opt_.flush_entries) {
-    std::lock_guard<std::mutex> lk(maintenance_mu_);
+  if (opt_.flush_entries > 0 && explorer_.pending_flush() >= opt_.flush_entries)
     explorer_.flush_disk();
-  }
   return out;
 }
 
 core::BatchExplorer::FlushStats ExploreService::flush() {
-  std::lock_guard<std::mutex> lk(maintenance_mu_);
   return explorer_.flush_disk();
 }
 
@@ -170,13 +154,10 @@ ExploreService::AdminOutcome ExploreService::admin(std::string_view command) {
   if (verb == "stats") {
     if (!need_cache_dir()) return out;
     // A stats probe should see pending work, so flush first — it is an
-    // admin request, maintenance-grade latency is fine.
-    {
-      std::lock_guard<std::mutex> lk(maintenance_mu_);
-      explorer_.flush_disk();
-      core::EvalCacheDir cache(opt_.cache_dir);
-      out.output = core::eval_cache_stats_json(cache.stats());
-    }
+    // admin request, maintenance-grade latency is fine.  stats() only reads,
+    // so it needs no lock against a concurrent flush.
+    explorer_.flush_disk();
+    out.output = core::eval_cache_stats_json(core::EvalCacheDir(opt_.cache_dir).stats());
     out.ok = true;
     return out;
   }
@@ -202,16 +183,11 @@ ExploreService::AdminOutcome ExploreService::admin(std::string_view command) {
       out.error.message = "compact takes no arguments";
       return out;
     }
-    core::EvalCacheDir::MaintenanceStats m;
-    {
-      // Flush-then-maintain under one lock: pending entries are persisted
-      // first so maintenance sees them, and no flush can start while the
-      // directory is being rewritten ("no concurrent writer").
-      std::lock_guard<std::mutex> lk(maintenance_mu_);
-      explorer_.flush_disk();
-      core::EvalCacheDir cache(opt_.cache_dir);
-      m = verb == "compact" ? cache.compact() : cache.prune(max_entries, max_bytes);
-    }
+    // The explorer flushes, then maintains, behind its writer lock: pending
+    // entries are persisted first so maintenance sees them, and no flush
+    // can start while the directory is rewritten ("no concurrent writer").
+    const core::EvalCacheDir::MaintenanceStats m =
+        explorer_.prune_disk(max_entries, max_bytes);
     if (!m.ok) {
       out.error.code = "maintenance-failed";
       out.error.message = "cache maintenance failed on " + opt_.cache_dir;

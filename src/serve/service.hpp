@@ -11,21 +11,21 @@
 // of cache warmth and thread counts.  tests/serve_smoke.sh byte-compares
 // the two paths in CI.
 //
-// Cache lifecycle: the explorer runs in deferred-flush mode, so request
-// threads never write the cache directory — newly computed entries and
-// warm-start hit counts accumulate in memory until the flush policy
+// Cache lifecycle: BatchExplorer::run() only reads the cache directory, so
+// request threads never write it — newly computed entries and warm-start
+// hit counts queue in the explorer until the flush policy
 // (`flush_entries`), an admin `flush`, or shutdown persists them through
-// the single serialized writer.  Admin maintenance (compact/prune) takes
-// the same maintenance mutex and flushes first, so the eval-cache rule
-// "compact/prune assume no concurrent writer" holds inside a daemon that
-// is concurrently *reading* the directory (readers tolerate rewrites by
-// contract: a deleted or rewritten entry degrades to a miss, never a wrong
-// hit — tests/cache_concurrency_test.cpp).
+// BatchExplorer::flush_disk(), the one write path.  Admin maintenance
+// (compact/prune) is BatchExplorer::prune_disk(), which flushes first and
+// runs behind the same writer lock, so the eval-cache rule "compact/prune
+// assume no concurrent writer" holds inside a daemon that is concurrently
+// *reading* the directory (readers tolerate rewrites by contract: a
+// deleted or rewritten entry degrades to a miss, never a wrong hit —
+// tests/cache_concurrency_test.cpp).  The service itself holds no lock.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <string_view>
 
@@ -100,9 +100,6 @@ class ExploreService {
  private:
   ServiceOptions opt_;
   core::BatchExplorer explorer_;
-  /// Serializes flush-vs-maintenance so compact/prune never observe a
-  /// concurrent writer (request threads only ever queue in memory).
-  std::mutex maintenance_mu_;
   std::atomic<std::uint64_t> requests_{0};
 };
 

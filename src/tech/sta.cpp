@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
 
 namespace addm::tech {
@@ -117,15 +116,6 @@ AreaReport analyze_area(const Netlist& nl, const Library& lib) {
     ++a.cells;
   }
   return a;
-}
-
-std::string summarize(const TimingReport& t, const AreaReport& a) {
-  std::ostringstream os;
-  os.precision(3);
-  os << std::fixed << "area=" << a.total << " units (" << a.cells << " cells), crit="
-     << t.critical_path_ns << " ns (reg2reg=" << t.reg_to_reg_ns
-     << ", clk2out=" << t.clk_to_output_ns << ", in2reg=" << t.input_to_reg_ns << ")";
-  return os.str();
 }
 
 }  // namespace addm::tech

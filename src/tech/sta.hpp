@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "netlist/netlist.hpp"
@@ -41,8 +40,5 @@ TimingReport analyze_timing(const netlist::Netlist& nl, const Library& lib);
 
 /// Sums cell areas.
 AreaReport analyze_area(const netlist::Netlist& nl, const Library& lib);
-
-/// Human-readable one-line summary ("area=... cells crit=...ns (reg->reg ...)").
-std::string summarize(const TimingReport& t, const AreaReport& a);
 
 }  // namespace addm::tech

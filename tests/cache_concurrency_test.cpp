@@ -10,9 +10,10 @@
 // that key.  Entries here encode their key into their content, so any
 // cross-key mixup or torn read fails loudly.
 //
-// Also covers the BatchExplorer daemon mode those writes come from:
-// defer_disk_flush accumulates pending entries in memory, flush_disk is
-// the single serialized writer, and concurrent run()+flush_disk() is safe.
+// Also covers the BatchExplorer write path those writes come from: run()
+// queues pending entries in memory, flush_disk() is the single serialized
+// writer, prune_disk() maintains behind the same lock, and concurrent
+// run() + flush_disk() + prune_disk() is safe.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -201,7 +202,6 @@ TEST(CacheConcurrency, DeferredFlushAccumulatesThenPersistsOnce) {
 
   BatchOptions opt;
   opt.cache_dir = dir;
-  opt.defer_disk_flush = true;
   opt.threads = 1;
   BatchExplorer explorer(opt);
 
@@ -212,7 +212,6 @@ TEST(CacheConcurrency, DeferredFlushAccumulatesThenPersistsOnce) {
   const BatchResult first = explorer.run(traces);
   const std::size_t unique = first.evaluations;
   ASSERT_GT(unique, 0u);
-  EXPECT_EQ(first.disk_entries_stored, 0u) << "deferred mode wrote the disk";
   EXPECT_EQ(explorer.pending_flush(), unique);
   EXPECT_TRUE(!std::filesystem::exists(dir) ||
               std::filesystem::is_empty(dir));
@@ -230,7 +229,7 @@ TEST(CacheConcurrency, DeferredFlushAccumulatesThenPersistsOnce) {
   EXPECT_EQ(explorer.pending_flush(), 0u);
   EXPECT_EQ(explorer.flush_disk().stored, 0u);
 
-  // A fresh deferred explorer warm-starts from disk and queues only the
+  // A fresh explorer warm-starts from disk and queues only the
   // hit credits, which flush as `hit` records, not duplicate entries.
   BatchExplorer warm(opt);
   const BatchResult third = warm.run(traces);
@@ -248,19 +247,22 @@ TEST(CacheConcurrency, ConcurrentRunsAndFlushesAreSafe) {
 
   BatchOptions opt;
   opt.cache_dir = dir;
-  opt.defer_disk_flush = true;
   opt.threads = 1;
   BatchExplorer explorer(opt);
 
   // Two request threads with different option sets (the daemon's shape)
-  // racing a flusher thread.  Some suite traces alias to one memo key, so
-  // the per-option-set entry count is the unique-evaluation count.
+  // racing a flusher thread and a compacting maintenance thread.  Some
+  // suite traces alias to one memo key, so the per-option-set entry count
+  // is the unique-evaluation count.
   const auto traces = seq::scaled_suite({8, 8}, 1);
   const std::size_t unique = BatchExplorer(BatchOptions{}).run(traces).evaluations;
   std::atomic<bool> done{false};
   std::thread flusher([&] {
     while (!done.load()) explorer.flush_disk();
     explorer.flush_disk();
+  });
+  std::thread maintainer([&] {
+    while (!done.load()) explorer.prune_disk(UINT64_MAX, UINT64_MAX);
   });
   std::thread worker_a([&] {
     for (int i = 0; i < 3; ++i) explorer.run(traces, ExploreOptions{});
@@ -274,6 +276,7 @@ TEST(CacheConcurrency, ConcurrentRunsAndFlushesAreSafe) {
   worker_b.join();
   done.store(true);
   flusher.join();
+  maintainer.join();
 
   // Both option sets landed exactly once per unique key, and the directory
   // is canonical-valid.

@@ -2,8 +2,9 @@
 // insertion-order permutation, compact idempotence, exact budget
 // enforcement, merge commutativity and its equivalence with compaction,
 // hit-weighted eviction priority, version negotiation (v1 reads, future
-// refusals), and the pruned-then-warm-started run reproducing a cold run's
-// report byte-for-byte.
+// refusals), the pruned-then-warm-started run reproducing a cold run's
+// report byte-for-byte, and BatchExplorer's one write path (run() only
+// reads; flush_disk() and prune_disk() write).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -39,6 +40,18 @@ std::string slurp(const fs::path& p) {
   std::ostringstream os;
   os << in.rdbuf();
   return os.str();
+}
+
+// One offline invocation, as addm_explore makes it: run() queues, then
+// flush_disk() writes the cache directory.
+BatchResult run_and_flush(const BatchOptions& opt,
+                          const std::vector<seq::AddressTrace>& traces,
+                          BatchExplorer::FlushStats* flushed = nullptr) {
+  BatchExplorer explorer(opt);
+  BatchResult result = explorer.run(traces);
+  const BatchExplorer::FlushStats stats = explorer.flush_disk();
+  if (flushed) *flushed = stats;
+  return result;
 }
 
 std::map<std::string, std::string> dir_bytes(const std::string& dir) {
@@ -291,7 +304,7 @@ TEST(CacheLifecycle, BudgetedFlushMatchesOfflinePrune) {
     BatchOptions opt;
     opt.threads = 2;
     opt.cache_dir = offline;
-    BatchExplorer(opt).run(traces);
+    run_and_flush(opt, traces);
   }
   const auto unpruned_entries = EvalCacheDir(offline).stats().entries;
   // Budget = half the unbudgeted payload: guarantees real eviction while
@@ -301,15 +314,15 @@ TEST(CacheLifecycle, BudgetedFlushMatchesOfflinePrune) {
   ASSERT_TRUE(EvalCacheDir(offline).prune(UINT64_MAX, kBudget).ok);
 
   const std::string online = fresh_dir("budget_online");
-  BatchResult cold;
+  BatchExplorer::FlushStats cold;
   {
     BatchOptions opt;
     opt.threads = 2;
     opt.cache_dir = online;
     opt.cache_budget_bytes = kBudget;
-    cold = BatchExplorer(opt).run(traces);
+    run_and_flush(opt, traces, &cold);
   }
-  EXPECT_GT(cold.disk_entries_evicted, 0u);
+  EXPECT_GT(cold.evicted, 0u);
   EXPECT_LT(EvalCacheDir(online).stats().entries, unpruned_entries);
   EXPECT_LE(EvalCacheDir(online).stats().payload_bytes, kBudget);
   EXPECT_EQ(dir_bytes(online), dir_bytes(offline));
@@ -325,10 +338,10 @@ TEST(CacheLifecycle, PrunedWarmStartReportMatchesColdRun) {
   opt.threads = 2;
   opt.cache_dir = dir;
 
-  const BatchResult cold = BatchExplorer(opt).run(traces);
+  const BatchResult cold = run_and_flush(opt, traces);
   ASSERT_TRUE(EvalCacheDir(dir).prune(3, UINT64_MAX).ok);
 
-  const BatchResult warm = BatchExplorer(opt).run(traces);
+  const BatchResult warm = run_and_flush(opt, traces);
   EXPECT_EQ(warm.disk_hits + warm.evaluations, traces.size());
   EXPECT_GT(warm.evaluations, 0u);  // pruned keys really are misses
   EXPECT_EQ(batch_report_csv(warm), batch_report_csv(cold));
@@ -338,6 +351,51 @@ TEST(CacheLifecycle, PrunedWarmStartReportMatchesColdRun) {
   const BatchResult healed = BatchExplorer(opt).run(traces);
   EXPECT_EQ(healed.evaluations, 0u);
   EXPECT_EQ(healed.disk_hits, traces.size());
+}
+
+TEST(CacheLifecycle, RunOnlyQueuesUntilFlushOrPruneDisk) {
+  // run() reads the cache directory but never writes it, with or without a
+  // byte budget: new entries and warm-start hit credits wait in the queue.
+  // flush_disk() persists the queue; prune_disk() persists it before it
+  // compacts, so a queued entry survives the compact.
+  const auto traces = seq::standard_suite({8, 8});
+  const std::vector<seq::AddressTrace> seed(traces.begin(), traces.begin() + 4);
+  for (const std::uint64_t budget : {std::uint64_t{0}, std::uint64_t{UINT64_MAX}}) {
+    for (const bool compact : {false, true}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "budget " << budget << ", compact " << compact);
+      const std::string dir = fresh_dir("run_only_reads");
+      BatchOptions opt;
+      opt.threads = 2;
+      opt.cache_dir = dir;
+      opt.cache_budget_bytes = budget;
+      run_and_flush(opt, seed);
+      const auto seeded = dir_bytes(dir);
+      const std::size_t seeded_entries = EvalCacheDir(dir).stats().entries;
+
+      BatchExplorer explorer(opt);
+      const BatchResult r = explorer.run(traces);
+      EXPECT_GT(r.disk_hits, 0u);
+      EXPECT_GT(r.evaluations, 0u);
+      EXPECT_EQ(explorer.pending_flush(), r.evaluations);
+      EXPECT_EQ(dir_bytes(dir), seeded) << "run() wrote the cache directory";
+
+      if (compact) {
+        const EvalCacheDir::MaintenanceStats m =
+            explorer.prune_disk(UINT64_MAX, UINT64_MAX);
+        ASSERT_TRUE(m.ok);
+        EXPECT_EQ(m.kept, seeded_entries + r.evaluations);
+        EXPECT_EQ(m.evicted, 0u);
+      } else {
+        EXPECT_EQ(explorer.flush_disk().stored, r.evaluations);
+      }
+      EXPECT_EQ(explorer.pending_flush(), 0u);
+      EXPECT_NE(dir_bytes(dir), seeded);
+      const BatchResult warm = BatchExplorer(opt).run(traces);
+      EXPECT_EQ(warm.evaluations, 0u);
+      EXPECT_EQ(warm.disk_hits, traces.size());
+    }
+  }
 }
 
 TEST(CacheLifecycle, ConcurrentStoreAndLoadSmoke) {

@@ -29,6 +29,18 @@ std::string fresh_dir(const std::string& name) {
   return dir.string();
 }
 
+// One offline invocation, as addm_explore makes it: run() queues, then
+// flush_disk() writes the cache directory.
+BatchResult run_and_flush(const BatchOptions& opt,
+                          const std::vector<seq::AddressTrace>& traces,
+                          BatchExplorer::FlushStats* flushed = nullptr) {
+  BatchExplorer explorer(opt);
+  BatchResult result = explorer.run(traces);
+  const BatchExplorer::FlushStats stats = explorer.flush_disk();
+  if (flushed) *flushed = stats;
+  return result;
+}
+
 EvalCacheEntry sample_entry(std::uint64_t trace_hash = 0x1111,
                             std::uint64_t options_hash = 0x2222) {
   EvalCacheEntry e;
@@ -233,7 +245,7 @@ TEST(EvalCacheDirTest, VanishedOrNonFilePayloadDegradesToMiss) {
   BatchOptions opt;
   opt.threads = 2;
   opt.cache_dir = batch_dir;
-  const BatchResult cold = BatchExplorer(opt).run(traces);
+  const BatchResult cold = run_and_flush(opt, traces);
   bool replaced_one = false;
   for (const auto& f : fs::directory_iterator(batch_dir)) {
     if (f.path().extension() != ".entry" || replaced_one) continue;
@@ -344,19 +356,19 @@ TEST(EvalCacheBatch, SecondExplorerIsServedEntirelyFromDisk) {
   opt.threads = 2;
   opt.cache_dir = dir;
 
-  BatchExplorer cold(opt);
-  const BatchResult first = cold.run(traces);
+  BatchExplorer::FlushStats first_flush;
+  const BatchResult first = run_and_flush(opt, traces, &first_flush);
   EXPECT_GT(first.evaluations, 0u);
   EXPECT_EQ(first.disk_hits, 0u);
-  EXPECT_EQ(first.disk_entries_stored, first.evaluations);
+  EXPECT_EQ(first_flush.stored, first.evaluations);
 
-  BatchExplorer warm(opt);
-  const BatchResult second = warm.run(traces);
+  BatchExplorer::FlushStats second_flush;
+  const BatchResult second = run_and_flush(opt, traces, &second_flush);
   EXPECT_EQ(second.evaluations, 0u);
   EXPECT_EQ(second.cache_hits, 0u);
   EXPECT_EQ(second.disk_hits, traces.size());
-  EXPECT_EQ(second.disk_entries_loaded, first.disk_entries_stored);
-  EXPECT_EQ(second.disk_entries_stored, 0u);
+  EXPECT_EQ(second.disk_entries_loaded, first_flush.stored);
+  EXPECT_EQ(second_flush.stored, 0u);
 
   // The disk round trip must not perturb a single byte of the reports.
   EXPECT_EQ(batch_report_csv(first), batch_report_csv(second));
@@ -369,7 +381,7 @@ TEST(EvalCacheBatch, DifferentOptionsMissTheDiskCache) {
   BatchOptions a;
   a.threads = 2;
   a.cache_dir = dir;
-  BatchExplorer(a).run(traces);
+  run_and_flush(a, traces);
 
   BatchOptions b = a;
   b.explore.include_fsm = false;
@@ -385,7 +397,7 @@ TEST(EvalCacheBatch, CorruptedCacheDegradesToReevaluation) {
   BatchOptions opt;
   opt.threads = 2;
   opt.cache_dir = dir;
-  const BatchResult clean = BatchExplorer(opt).run(traces);
+  const BatchResult clean = run_and_flush(opt, traces);
 
   // Vandalize every entry file; keep the index.
   for (const auto& f : fs::directory_iterator(dir)) {
@@ -393,8 +405,7 @@ TEST(EvalCacheBatch, CorruptedCacheDegradesToReevaluation) {
     std::ofstream(f.path(), std::ios::binary | std::ios::trunc) << "junk";
   }
 
-  BatchExplorer recover(opt);
-  const BatchResult redone = recover.run(traces);
+  const BatchResult redone = run_and_flush(opt, traces);
   EXPECT_EQ(redone.disk_hits, 0u);
   EXPECT_EQ(redone.evaluations, clean.evaluations);
   EXPECT_EQ(batch_report_csv(redone), batch_report_csv(clean));
@@ -416,14 +427,14 @@ TEST(EvalCacheBatch, FilteredRunNeverPoisonsAFullRunsCache) {
   filtered.threads = 2;
   filtered.cache_dir = dir;
   filtered.explore.archs = {"SRAG", "CntAG-flat"};
-  const BatchResult f = BatchExplorer(filtered).run(traces);
-  EXPECT_GT(f.disk_entries_stored, 0u);
+  BatchExplorer::FlushStats f_flush;
+  const BatchResult f = run_and_flush(filtered, traces, &f_flush);
+  EXPECT_GT(f_flush.stored, 0u);
 
   BatchOptions full;
   full.threads = 2;
   full.cache_dir = dir;
-  BatchExplorer full_explorer(full);
-  const BatchResult cold = full_explorer.run(traces);
+  const BatchResult cold = run_and_flush(full, traces);
   EXPECT_EQ(cold.disk_hits, 0u);
   EXPECT_EQ(cold.disk_entries_loaded, 0u);
   EXPECT_GT(cold.evaluations, 0u);
@@ -455,7 +466,7 @@ TEST(EvalCacheBatch, CacheDirectoryBytesIndependentOfThreadCount) {
     BatchOptions opt;
     opt.threads = threads;
     opt.cache_dir = dir;
-    BatchExplorer(opt).run(traces);
+    run_and_flush(opt, traces);
     std::map<std::string, std::string> files;
     for (const auto& f : fs::directory_iterator(dir)) {
       std::ifstream in(f.path(), std::ios::binary);

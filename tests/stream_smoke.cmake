@@ -7,6 +7,8 @@
 #      byte-for-byte no-op on the report
 #   3. a generated multi-pass periodic trace must explore with every note
 #      annotated "[periodic 300x8]"
+#   4. a suite over the cell ceiling (65536x65536 = 2^32 cells) must be
+#      refused with exit 2 before anything is generated or written
 #
 # Usage: cmake -DADDM_EXPLORE=... -DADDM_TRACE_IMPORT=... -DGOLDEN_DIR=...
 #              -DWORK_DIR=... -P this
@@ -86,5 +88,16 @@ foreach(line IN LISTS report_lines)
   math(EXPR row "${row} + 1")
 endforeach()
 
+# 4. An oversized suite is an argument error: exit 2, no report file.
+execute_process(COMMAND ${ADDM_EXPLORE} --base 65536x65536 --suite 1 --threads 1
+  --out ${WORK_DIR}/oversized.csv
+  RESULT_VARIABLE rc ERROR_VARIABLE err OUTPUT_QUIET)
+if(NOT rc EQUAL 2 OR NOT err MATCHES "suite geometry 65536x65536 is too large")
+  message(FATAL_ERROR "oversized suite not refused (rc=${rc}):\n${err}")
+endif()
+if(EXISTS ${WORK_DIR}/oversized.csv)
+  message(FATAL_ERROR "oversized suite wrote a report")
+endif()
+
 message(STATUS "stream smoke OK: golden import, --compress-periodic "
-  "byte-identical, periodic annotation present")
+  "byte-identical, periodic annotation present, oversized suite refused")

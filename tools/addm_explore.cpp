@@ -7,7 +7,8 @@
 //
 // Inputs are any mix of:
 //   --suite N         the built-in workload suite over N doubling geometries
-//                     (9 traces per geometry; --suite 12 gives 108 traces)
+//                     (9 traces per geometry; --suite 12 gives 108 traces;
+//                     no geometry may exceed seq::kMaxSuiteCells cells)
 //   --trace FILE      a trace file in the seq/trace_io text format
 //   --trace-dir DIR   every *.trace file in DIR (sorted by name)
 //
@@ -171,6 +172,13 @@ int main(int argc, char** argv) {
     std::cerr << argv[0] << ": --cache-budget requires --cache-dir\n";
     return 2;
   }
+  if (const auto g = addm::seq::oversized_suite_geometry(base, suite_scales,
+                                                         addm::seq::kMaxSuiteCells)) {
+    std::cerr << argv[0] << ": suite geometry " << g->width << "x" << g->height
+              << " is too large (at most " << addm::seq::kMaxSuiteCells
+              << " cells per trace)\n";
+    return 2;
+  }
 
   std::vector<addm::seq::AddressTrace> traces;
   try {
@@ -221,9 +229,11 @@ int main(int argc, char** argv) {
   }
 
   addm::core::BatchResult result;
+  BatchExplorer::FlushStats flushed;
   try {
     BatchExplorer explorer(opt);
     result = explorer.run(traces);
+    flushed = explorer.flush_disk();
   } catch (const std::exception& e) {
     std::cerr << argv[0] << ": exploration failed: " << e.what() << "\n";
     return 1;
@@ -266,12 +276,11 @@ int main(int argc, char** argv) {
                                    std::max(1u, std::thread::hardware_concurrency())));
     if (!opt.cache_dir.empty()) {
       std::fprintf(stderr, "cache %s: %zu entries loaded, %zu stored\n",
-                   opt.cache_dir.c_str(), result.disk_entries_loaded,
-                   result.disk_entries_stored);
+                   opt.cache_dir.c_str(), result.disk_entries_loaded, flushed.stored);
       if (opt.cache_budget_bytes != 0)
         std::fprintf(stderr, "cache budget %llu bytes: %zu entries evicted\n",
                      static_cast<unsigned long long>(opt.cache_budget_bytes),
-                     result.disk_entries_evicted);
+                     flushed.evicted);
     }
   }
   return errors == 0 ? 0 : 3;
