@@ -26,12 +26,19 @@ std::string sanitize_identifier(const std::string& name) {
 
 namespace {
 
+// "n<id>", the name of an internal wire.
+std::string wire_name(NetId n) {
+  std::string s = "n";
+  s += std::to_string(n);
+  return s;
+}
+
 std::string net_ref(const Netlist& nl, NetId n) {
   if (n == netlist::kConst0) return "1'b0";
   if (n == netlist::kConst1) return "1'b1";
   for (std::size_t i = 0; i < nl.inputs().size(); ++i)
     if (nl.inputs()[i] == n) return sanitize_identifier(nl.input_name(i));
-  return "n" + std::to_string(n);
+  return wire_name(n);
 }
 
 }  // namespace
@@ -57,7 +64,7 @@ std::string to_verilog(const Netlist& nl, const std::string& module_name) {
   // Combinational cells.
   for (const Cell& c : nl.cells()) {
     const auto in = [&](int k) { return net_ref(nl, c.inputs[static_cast<std::size_t>(k)]); };
-    const std::string out = "n" + std::to_string(c.output);
+    const std::string out = wire_name(c.output);
     switch (c.type) {
       case CellType::Inv:   os << "  assign " << out << " = ~" << in(0) << ";\n"; break;
       case CellType::Buf:   os << "  assign " << out << " = " << in(0) << ";\n"; break;
@@ -79,7 +86,7 @@ std::string to_verilog(const Netlist& nl, const std::string& module_name) {
   for (const Cell& c : nl.cells()) {
     if (!is_sequential(c.type)) continue;
     const auto in = [&](int k) { return net_ref(nl, c.inputs[static_cast<std::size_t>(k)]); };
-    const std::string q = "n" + std::to_string(c.output);
+    const std::string q = wire_name(c.output);
     os << "  always @(posedge clk) begin\n";
     switch (c.type) {
       case CellType::Dff:

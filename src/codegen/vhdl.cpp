@@ -22,12 +22,19 @@ std::string vhdl_identifier(const std::string& name) {
   return s;
 }
 
+// "n<id>", the name of an internal signal.
+std::string wire_name(NetId n) {
+  std::string s = "n";
+  s += std::to_string(n);
+  return s;
+}
+
 std::string net_ref(const Netlist& nl, NetId n) {
   if (n == netlist::kConst0) return "'0'";
   if (n == netlist::kConst1) return "'1'";
   for (std::size_t i = 0; i < nl.inputs().size(); ++i)
     if (nl.inputs()[i] == n) return vhdl_identifier(nl.input_name(i));
-  return "n" + std::to_string(n);
+  return wire_name(n);
 }
 
 }  // namespace
@@ -50,7 +57,7 @@ std::string to_structural_vhdl(const Netlist& nl, const std::string& entity_name
   for (const Cell& c : nl.cells()) {
     if (is_sequential(c.type)) continue;
     const auto in = [&](int k) { return net_ref(nl, c.inputs[static_cast<std::size_t>(k)]); };
-    const std::string out = "n" + std::to_string(c.output);
+    const std::string out = wire_name(c.output);
     switch (c.type) {
       case CellType::Inv:   os << "  " << out << " <= not " << in(0) << ";\n"; break;
       case CellType::Buf:   os << "  " << out << " <= " << in(0) << ";\n"; break;
@@ -71,7 +78,7 @@ std::string to_structural_vhdl(const Netlist& nl, const std::string& entity_name
   for (const Cell& c : nl.cells()) {
     if (!is_sequential(c.type)) continue;
     const auto in = [&](int k) { return net_ref(nl, c.inputs[static_cast<std::size_t>(k)]); };
-    const std::string q = "n" + std::to_string(c.output);
+    const std::string q = wire_name(c.output);
     switch (c.type) {
       case CellType::Dff:
         os << "      " << q << " <= " << in(0) << ";\n";
@@ -172,9 +179,14 @@ std::string srag_to_behavioral_vhdl(const core::SragConfig& cfg,
   // Select-line mapping.
   std::vector<std::string> drivers(cfg.num_select_lines, "'0'");
   for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < cfg.registers[i].size(); ++j)
-      drivers[cfg.registers[i][j]] =
-          "s" + std::to_string(i) + "(" + std::to_string(j) + ")";
+    for (std::size_t j = 0; j < cfg.registers[i].size(); ++j) {
+      std::string d = "s";
+      d += std::to_string(i);
+      d += '(';
+      d += std::to_string(j);
+      d += ')';
+      drivers[cfg.registers[i][j]] = std::move(d);
+    }
   for (std::size_t k = 0; k < drivers.size(); ++k)
     os << "  sel(" << k << ") <= " << drivers[k] << ";\n";
   os << "\nend architecture behavioral;\n";

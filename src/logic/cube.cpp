@@ -19,7 +19,8 @@ std::string Cube::to_string() const {
   for (int k = 23; k >= 0; --k) {
     if (!(mask & (1u << k))) continue;
     if (!s.empty()) s += "·";
-    s += "x" + std::to_string(k);
+    s += 'x';
+    s += std::to_string(k);
     if (!(polarity & (1u << k))) s += "'";
   }
   return s;

@@ -14,26 +14,29 @@ std::string to_dot(const Netlist& nl, const std::string& graph_name) {
     const Cell& c = nl.cell(i);
     os << "  c" << i << " [shape=box,label=\"" << cell_name(c.type) << "\"];\n";
   }
-  auto src_node = [&](NetId n) -> std::string {
-    if (n == kConst0) return "const0";
-    if (n == kConst1) return "const1";
-    if (nl.is_primary_input(n)) return "pi" + std::to_string(n);
-    if (auto d = nl.driver_of(n)) return "c" + std::to_string(*d);
-    return "undriven" + std::to_string(n);
+  // Streams the node that drives net n.
+  auto src_node = [&](NetId n) -> std::ostream& {
+    if (n == kConst0) return os << "const0";
+    if (n == kConst1) return os << "const1";
+    if (nl.is_primary_input(n)) return os << "pi" << n;
+    if (auto d = nl.driver_of(n)) return os << "c" << *d;
+    return os << "undriven" << n;
   };
   bool used_c0 = false, used_c1 = false;
   for (std::size_t i = 0; i < nl.cells().size(); ++i) {
     for (NetId in : nl.cell(i).inputs) {
       used_c0 |= (in == kConst0);
       used_c1 |= (in == kConst1);
-      os << "  " << src_node(in) << " -> c" << i << ";\n";
+      os << "  ";
+      src_node(in) << " -> c" << i << ";\n";
     }
   }
   if (used_c0) os << "  const0 [shape=plaintext,label=\"0\"];\n";
   if (used_c1) os << "  const1 [shape=plaintext,label=\"1\"];\n";
   for (std::size_t i = 0; i < nl.outputs().size(); ++i) {
     os << "  po" << i << " [shape=ellipse,label=\"" << nl.output_name(i) << "\"];\n";
-    os << "  " << src_node(nl.outputs()[i]) << " -> po" << i << ";\n";
+    os << "  ";
+    src_node(nl.outputs()[i]) << " -> po" << i << ";\n";
   }
   os << "}\n";
   return os.str();

@@ -131,8 +131,10 @@ AddressTrace repeat_each(const AddressTrace& t, std::size_t repeat) {
 
 std::vector<AddressTrace> standard_suite(ArrayGeometry g) {
   require_suite_geometry(g);
-  const std::string suffix =
-      "_" + std::to_string(g.width) + "x" + std::to_string(g.height);
+  std::string suffix = "_";
+  suffix += std::to_string(g.width);
+  suffix += 'x';
+  suffix += std::to_string(g.height);
 
   std::vector<AddressTrace> suite;
   MotionEstimationParams me;

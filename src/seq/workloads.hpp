@@ -74,6 +74,9 @@ AddressTrace repeat_each(const AddressTrace& t, std::size_t repeat);
 /// throws std::invalid_argument otherwise.
 std::vector<AddressTrace> standard_suite(ArrayGeometry g);
 
+/// Number of traces standard_suite returns for every geometry.
+inline constexpr std::size_t kSuiteTracesPerGeometry = 9;
+
 /// standard_suite over `scales` doubling geometries starting at `base`
 /// (base, then 2x width, then 2x height, alternating) — the batch
 /// explorer's stock multi-trace workload.  Throws std::invalid_argument,

@@ -100,7 +100,7 @@ struct TraceSource {
   Kind kind = Kind::kPath;
   /// kPath: filesystem path the *server* reads (trust model: the daemon
   /// serves local clients only).  kInline: fallback name applied when the
-  /// inline text carries no name (mirrors addm_explore's file-stem rule).
+  /// inline text carries no name (see explore_traces in serve/service.hpp).
   std::string name;
   /// kInline only: the trace file bytes (seq/trace_io text format).
   std::string data;
@@ -108,9 +108,10 @@ struct TraceSource {
   bool operator==(const TraceSource&) const = default;
 };
 
-/// One explore request — the daemon-side mirror of an addm_explore
-/// invocation.  Defaults match the CLI defaults exactly, which is what
-/// makes served reports byte-comparable to offline runs.
+/// One exploration, whichever front end starts it: addm_explore and
+/// addm_client build it from argv (tools/cli_util.hpp), the daemon decodes
+/// it from the wire, and all three run it through explore_traces and
+/// render_report (serve/service.hpp).  The defaults are the CLI defaults.
 struct ExploreRequest {
   std::string format = "csv";  ///< "csv" or "json"
   std::size_t suite_scales = 0;  ///< 0 = no suite traces
@@ -119,8 +120,7 @@ struct ExploreRequest {
   /// (apply with build_explore_options).  Keys are the names of the
   /// exploration-option table (core/explore_flags.hpp).
   std::vector<std::pair<std::string, std::string>> options;
-  /// Suite traces come first, then these, in order — same list-construction
-  /// rule as the CLI.
+  /// Suite traces come first, then these, in order.
   std::vector<TraceSource> traces;
 
   bool operator==(const ExploreRequest&) const = default;

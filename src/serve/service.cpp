@@ -1,9 +1,9 @@
 #include "serve/service.hpp"
 
+#include <algorithm>
 #include <exception>
 #include <filesystem>
 #include <utility>
-#include <vector>
 
 #include "core/eval_cache.hpp"
 #include "seq/trace_io.hpp"
@@ -37,6 +37,37 @@ std::string maintenance_summary(const core::EvalCacheDir::MaintenanceStats& m) {
 
 }  // namespace
 
+std::size_t explore_trace_count(const ExploreRequest& req) {
+  return req.suite_scales * seq::kSuiteTracesPerGeometry + req.traces.size();
+}
+
+std::vector<seq::AddressTrace> explore_traces(const ExploreRequest& req,
+                                              std::size_t begin, std::size_t end) {
+  std::vector<seq::AddressTrace> suite;
+  if (req.suite_scales > 0) suite = seq::scaled_suite(req.suite_base, req.suite_scales);
+  end = std::min(end, suite.size() + req.traces.size());
+  std::vector<seq::AddressTrace> traces;
+  for (std::size_t i = begin; i < end && i < suite.size(); ++i)
+    traces.push_back(std::move(suite[i]));
+  for (std::size_t i = std::max(begin, suite.size()); i < end; ++i) {
+    const TraceSource& src = req.traces[i - suite.size()];
+    if (src.kind == TraceSource::Kind::kPath) {
+      traces.push_back(seq::read_trace_file(src.name));
+      if (traces.back().name().empty())
+        traces.back().set_name(std::filesystem::path(src.name).stem().string());
+    } else {
+      traces.push_back(seq::read_trace_string(src.data));
+      if (traces.back().name().empty()) traces.back().set_name(src.name);
+    }
+  }
+  return traces;
+}
+
+std::string render_report(const core::BatchResult& result, std::string_view format) {
+  return format == "json" ? core::batch_report_json(result)
+                          : core::batch_report_csv(result);
+}
+
 ExploreService::ExploreService(ServiceOptions opt)
     : opt_(std::move(opt)), explorer_(batch_options(opt_)) {}
 
@@ -51,10 +82,6 @@ ExploreService::ExploreOutcome ExploreService::explore(
     return out;
   }
 
-  // Trace-list construction mirrors addm_explore exactly: suite traces
-  // first, then request traces in order, file-stem naming for unnamed file
-  // traces.  This ordering is what makes the served report byte-comparable
-  // to the offline run.
   if (const auto g = seq::oversized_suite_geometry(req.suite_base, req.suite_scales,
                                                    seq::kMaxSuiteCells)) {
     out.error.code = "io";
@@ -66,23 +93,7 @@ ExploreService::ExploreOutcome ExploreService::explore(
   }
   std::vector<seq::AddressTrace> traces;
   try {
-    if (req.suite_scales > 0) {
-      std::vector<seq::AddressTrace> suite =
-          seq::scaled_suite(req.suite_base, req.suite_scales);
-      for (auto& t : suite) traces.push_back(std::move(t));
-    }
-    for (const TraceSource& src : req.traces) {
-      if (src.kind == TraceSource::Kind::kPath) {
-        seq::AddressTrace t = seq::read_trace_file(src.name);
-        if (t.name().empty())
-          t.set_name(std::filesystem::path(src.name).stem().string());
-        traces.push_back(std::move(t));
-      } else {
-        seq::AddressTrace t = seq::read_trace_string(src.data);
-        if (t.name().empty() && !src.name.empty()) t.set_name(src.name);
-        traces.push_back(std::move(t));
-      }
-    }
+    traces = explore_traces(req, 0, explore_trace_count(req));
   } catch (const std::exception& e) {
     out.error.code = "io";
     out.error.message = e.what();
@@ -98,8 +109,7 @@ ExploreService::ExploreOutcome ExploreService::explore(
     return out;
   }
 
-  out.report = req.format == "json" ? core::batch_report_json(result)
-                                    : core::batch_report_csv(result);
+  out.report = render_report(result, req.format);
   out.summary.traces = result.traces;
   out.summary.evaluations = result.evaluations;
   out.summary.cache_hits = result.cache_hits;

@@ -3,13 +3,13 @@
 // shared by every request — and the cache-directory lifecycle.
 //
 // Determinism contract: explore() produces a report body byte-identical to
-// the offline `addm_explore` run with the same inputs and options.  That
-// holds because the service reuses the exact CLI building blocks — the same
-// suite constructor, the same suite-then-files list order, the same
-// file-stem naming rule, the same BatchExplorer and report renderers — and
-// because the BatchExplorer contract already guarantees reports independent
-// of cache warmth and thread counts.  tests/serve_smoke.sh byte-compares
-// the two paths in CI.
+// the offline `addm_explore` run with the same inputs and options, because
+// an exploration takes one path whichever front end starts it: an
+// ExploreRequest (built from argv by tools/cli_util.hpp, or decoded from
+// the wire), its trace list from explore_traces, a BatchExplorer run, and
+// the body from render_report.  The BatchExplorer contract makes reports
+// independent of cache warmth and thread counts.  tests/serve_smoke.sh
+// byte-compares served and offline reports in CI.
 //
 // Cache lifecycle: BatchExplorer::run() only reads the cache directory, so
 // request threads never write it — newly computed entries and warm-start
@@ -28,11 +28,31 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "core/batch_explorer.hpp"
 #include "serve/protocol.hpp"
 
 namespace addm::serve {
+
+/// Length of `req`'s trace list: the suite's traces, then one per source.
+/// Exact once the suite passed its cell-ceiling check, which bounds
+/// suite_scales.
+std::size_t explore_trace_count(const ExploreRequest& req);
+
+/// Positions [begin, end) of `req`'s trace list: the suite traces first,
+/// then each source in order.  An unnamed path trace is named after its
+/// file stem, an unnamed inline trace after its source's name.  Only the
+/// sources inside the range are read, so a shard parses just the traces it
+/// owns; the suite is always generated whole, so an invalid base throws
+/// whatever the range.  Throws std::exception on an unreadable or malformed
+/// trace.
+std::vector<seq::AddressTrace> explore_traces(const ExploreRequest& req,
+                                              std::size_t begin, std::size_t end);
+
+/// The report body of `result` in a request format: batch_report_json for
+/// "json", batch_report_csv otherwise.
+std::string render_report(const core::BatchResult& result, std::string_view format);
 
 /// Daemon-side execution knobs (the request protocol carries none of
 /// these: scheduling and cache lifecycle belong to the operator).

@@ -43,7 +43,11 @@ VcdRecorder::VcdRecorder(const Simulator& sim, std::string top_name, VcdOptions 
   for (std::size_t i = 0; i < nl.outputs().size(); ++i)
     add_signal(nl.outputs()[i], flatten(nl.output_name(i)));
   if (options.include_internal_nets)
-    for (const auto& cell : nl.cells()) add_signal(cell.output, "n" + std::to_string(cell.output));
+    for (const auto& cell : nl.cells()) {
+      std::string name = "n";
+      name += std::to_string(cell.output);
+      add_signal(cell.output, std::move(name));
+    }
 
   std::ostringstream os;
   os << "$date addm simulation $end\n";

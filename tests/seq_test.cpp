@@ -195,6 +195,11 @@ TEST(Workloads, GeneratorsProduceValidTraces) {
   }
 }
 
+TEST(Workloads, StandardSuiteSizeIsTheDeclaredConstant) {
+  EXPECT_EQ(standard_suite({8, 8}).size(), kSuiteTracesPerGeometry);
+  EXPECT_EQ(standard_suite({32, 4}).size(), kSuiteTracesPerGeometry);
+}
+
 TEST(Workloads, ScaledSuiteDoublesWidthThenHeight) {
   const auto suite = scaled_suite({8, 8}, 3);
   ASSERT_EQ(suite.size(), 3 * standard_suite({8, 8}).size());

@@ -508,6 +508,38 @@ TEST(ServeServer, AdminFlushCompactStatsAgainstCacheDir) {
   EXPECT_EQ(result.error.code, "bad-request");
 }
 
+// Maintenance persists queued entries first: with nothing flushed yet,
+// compact and prune must still see every entry the suite run computed.
+TEST(ServeServer, AdminMaintenanceFlushesQueuedEntriesFirst) {
+  const std::string cache_dir = testing::TempDir() + "serve_unflushed_cache";
+  const std::pair<std::string, std::size_t> cases[] = {{"compact", 7},
+                                                       {"prune 4 0", 4}};
+  for (const auto& [command, kept] : cases) {
+    SCOPED_TRACE(command);
+    std::filesystem::remove_all(cache_dir);
+    ServiceOptions so;
+    so.cache_dir = cache_dir;
+    so.flush_entries = 0;
+    TestServer ts(so);
+    ServeClient client = ts.connect();
+    std::string error;
+
+    ServeClient::Result result;
+    ASSERT_TRUE(client.explore(suite_request(), result, error)) << error;
+    ASSERT_TRUE(result.ok);
+
+    ASSERT_TRUE(client.admin(command, result, error)) << error;
+    ASSERT_TRUE(result.ok) << result.error.message;
+    EXPECT_EQ(result.body.rfind(std::to_string(kept) + " kept", 0), 0u) << result.body;
+    core::EvalCacheDir cache(cache_dir);
+    EXPECT_EQ(cache.read_records().size(), kept);
+
+    ASSERT_TRUE(client.admin("stats", result, error)) << error;
+    ASSERT_TRUE(result.ok) << result.error.message;
+    EXPECT_EQ(result.body, core::eval_cache_stats_json(cache.stats()));
+  }
+}
+
 TEST(ServeServer, AdminWithoutCacheDirIsRejected) {
   TestServer ts;
   ServeClient client = ts.connect();

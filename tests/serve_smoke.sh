@@ -13,8 +13,9 @@
 #     addm_cache verify-checksums calls clean,
 #   - SIGTERM drains and exits 0,
 #   - the TCP transport (--listen/--port-file) serves the same bytes,
-#   - out-of-range exploration options exit 2 in addm_explore and
-#     addm_client alike.
+#   - bad values of the shared input, exploration and output flags exit 2
+#     in addm_explore and addm_client alike, with the same message,
+#   - an addm_explore shard opens only the trace files it owns.
 set -u
 
 # The script cds into WORK, so resolve the tool paths first.
@@ -77,6 +78,21 @@ usage_error "--espresso-threshold expects 1..24" --no-fsm --espresso-threshold 2
 usage_error "--minimizer must be isop, exact, espresso or auto" --minimizer magic
 usage_error "--max-fanout requires a value" --max-fanout ""
 usage_error "--max-fanout requires a value" --verify-front --max-fanout
+usage_error "--suite expects a positive count" --suite 0
+usage_error "--base expects WxH (e.g. 8x8)" --base 8
+usage_error "--format must be csv or json" --format xml
+usage_error "--trace requires a value" --trace
+
+# ---- a shard opens only the trace files it owns ---------------------------
+# The list is 9 suite traces, then missing.trace at position 9: shard 0/2
+# owns positions 0-4 and never opens it, shard 1/2 owns 5-9 and fails on it.
+"$EXPLORE" --suite 1 --trace missing.trace --shard 0/2 --quiet \
+  --out shard0.csv || fail "shard 0/2 opened a trace outside its slice"
+got=$("$EXPLORE" --suite 1 --trace missing.trace --shard 1/2 --quiet 2>&1 >/dev/null)
+rc=$?
+[ "$rc" -eq 1 ] || fail "shard 1/2 with a missing trace: exit $rc (want 1)"
+[ "$got" = "$EXPLORE: cannot open trace file: missing.trace" ] \
+  || fail "shard 1/2 with a missing trace: '$got'"
 
 # ---- daemon on a unix socket with a shared cache --------------------------
 "$SERVE" --socket "$SOCK" --cache-dir cache --quiet &

@@ -9,10 +9,12 @@
 #      annotated "[periodic 300x8]"
 #   4. a suite over the cell ceiling (65536x65536 = 2^32 cells) must be
 #      refused with exit 2 before anything is generated or written
+#   5. addm_trace_gen must refuse the same suite the same way, with the
+#      message addm_explore prints, and write no trace file
 #
-# Usage: cmake -DADDM_EXPLORE=... -DADDM_TRACE_IMPORT=... -DGOLDEN_DIR=...
-#              -DWORK_DIR=... -P this
-foreach(var ADDM_EXPLORE ADDM_TRACE_IMPORT GOLDEN_DIR WORK_DIR)
+# Usage: cmake -DADDM_EXPLORE=... -DADDM_TRACE_IMPORT=... -DADDM_TRACE_GEN=...
+#              -DGOLDEN_DIR=... -DWORK_DIR=... -P this
+foreach(var ADDM_EXPLORE ADDM_TRACE_IMPORT ADDM_TRACE_GEN GOLDEN_DIR WORK_DIR)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "missing -D${var}=...")
   endif()
@@ -98,6 +100,23 @@ endif()
 if(EXISTS ${WORK_DIR}/oversized.csv)
   message(FATAL_ERROR "oversized suite wrote a report")
 endif()
+string(REPLACE "${ADDM_EXPLORE}: " "" explore_message "${err}")
+
+# 5. The trace exporter shares the ceiling check: same exit code, same
+# message after the program name, and nothing written.
+execute_process(COMMAND ${ADDM_TRACE_GEN} --base 65536x65536 --suite 1
+  --out-dir ${WORK_DIR}/oversized_traces
+  RESULT_VARIABLE rc ERROR_VARIABLE err OUTPUT_QUIET)
+string(REPLACE "${ADDM_TRACE_GEN}: " "" trace_gen_message "${err}")
+if(NOT rc EQUAL 2 OR NOT trace_gen_message STREQUAL explore_message)
+  message(FATAL_ERROR "addm_trace_gen did not refuse the oversized suite like "
+    "addm_explore (rc=${rc}):\n${err}\nwant:\n${explore_message}")
+endif()
+file(GLOB written ${WORK_DIR}/oversized_traces/*.trace)
+if(written)
+  message(FATAL_ERROR "oversized suite wrote trace files: ${written}")
+endif()
 
 message(STATUS "stream smoke OK: golden import, --compress-periodic "
-  "byte-identical, periodic annotation present, oversized suite refused")
+  "byte-identical, periodic annotation present, oversized suite refused "
+  "by addm_explore and addm_trace_gen")

@@ -31,6 +31,7 @@
 namespace {
 
 using addm::core::EvalCacheDir;
+using addm::tools::need_value;
 using addm::tools::parse_bytes;
 using addm::tools::parse_size;
 
@@ -67,13 +68,6 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto need_value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << argv[0] << ": " << arg << " requires a value\n";
-        std::exit(2);
-      }
-      return argv[++i];
-    };
     if (arg == "--help" || arg == "-h") {
       usage(argv[0]);
       return 0;
@@ -83,14 +77,14 @@ int main(int argc, char** argv) {
       quiet = true;
     } else if (arg == "--max-entries") {
       std::size_t v = 0;
-      if (!parse_size(need_value(), v)) {
+      if (!parse_size(need_value(argc, argv, i), v)) {
         std::cerr << argv[0] << ": --max-entries expects a non-negative number\n";
         return 2;
       }
       max_entries = v;
       have_max_entries = true;
     } else if (arg == "--max-bytes") {
-      if (!parse_bytes(need_value(), max_bytes)) {
+      if (!parse_bytes(need_value(argc, argv, i), max_bytes)) {
         std::cerr << argv[0]
                   << ": --max-bytes expects a byte size (suffix k/m/g)\n";
         return 2;

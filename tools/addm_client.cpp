@@ -1,10 +1,11 @@
 // addm_client — batch client for the addm_serve exploration daemon.
 //
-// Mirrors the addm_explore interface over a socket: the same input
-// selection and exploration flags build one explore request, the daemon
-// runs it against its warm shared cache, and the report streamed back is
-// byte-identical to the offline addm_explore run with the same arguments
-// (tests/serve_smoke.sh compares the two in CI).
+// The input, exploration-option and output flags are addm_explore's,
+// parsed by the same code (tools/cli_util.hpp) into one ExploreRequest.
+// The daemon runs that request on the path addm_explore runs locally —
+// the same trace list, explorer and renderer — against its warm shared
+// cache, so the report streamed back is byte-identical to the offline run
+// with the same arguments (tests/serve_smoke.sh compares the two in CI).
 //
 // Besides explorations the client drives the daemon's lifecycle:
 //   addm_client ping                  liveness probe (prints the banner)
@@ -16,24 +17,19 @@
 //
 // Exit status: 0 = success, 1 = transport or server failure, 2 = usage,
 // 3 = exploration completed but some traces reported errors.
-#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "cli_util.hpp"
-#include "core/explore_flags.hpp"
 #include "serve/client.hpp"
 
 namespace {
 
-using addm::core::explore_flag_arg;
-using addm::core::ExploreFlag;
+using addm::tools::need_value;
+using addm::tools::usage_error;
 using addm::tools::parse_bytes;
 using addm::tools::parse_size;
 
@@ -80,103 +76,49 @@ int main(int argc, char** argv) {
   std::string socket_path = "addm_serve.sock";
   int tcp_port = -1;
   bool json_mode = false;
-  std::string out_path;
-  bool quiet = false;
 
-  ExploreRequest req;
+  addm::tools::ExploreArgs args;
+  ExploreRequest& req = args.request;
   std::string mode;  // "", "ping", "admin"
   std::vector<std::string> admin_args;
-  bool have_input = false;
   bool have_max_entries = false;
   bool have_max_bytes = false;
   std::uint64_t max_entries = 0;
   std::uint64_t max_bytes = 0;
 
   for (int i = 1; i < argc; ++i) {
+    if (addm::tools::parse_explore_arg(argc, argv, i, args)) continue;
     const std::string arg = argv[i];
-    // A table option's empty value is as missing as an absent one.
-    auto need_value = [&](bool nonempty = false) -> const char* {
-      if (i + 1 >= argc || (nonempty && !*argv[i + 1])) {
-        std::cerr << argv[0] << ": " << arg << " requires a value\n";
-        std::exit(2);
-      }
-      return argv[++i];
-    };
     if (arg == "--help" || arg == "-h") {
       usage(argv[0]);
       return 0;
     } else if (arg == "--socket") {
-      socket_path = need_value();
+      socket_path = need_value(argc, argv, i);
       tcp_port = -1;
     } else if (arg == "--connect") {
       std::size_t port = 0;
-      if (!parse_size(need_value(), port) || port == 0 || port > 65535) {
-        std::cerr << argv[0] << ": --connect expects a port number (1..65535)\n";
-        return 2;
-      }
+      if (!parse_size(need_value(argc, argv, i), port) || port == 0 || port > 65535)
+        usage_error(argv[0], "--connect expects a port number (1..65535)");
       tcp_port = static_cast<int>(port);
     } else if (arg == "--json") {
       json_mode = true;
-    } else if (arg == "--suite") {
-      if (!parse_size(need_value(), req.suite_scales) || req.suite_scales == 0) {
-        std::cerr << argv[0] << ": --suite expects a positive count\n";
-        return 2;
-      }
-      have_input = true;
-    } else if (arg == "--base") {
-      if (!addm::seq::parse_geometry(need_value(), req.suite_base)) {
-        std::cerr << argv[0] << ": --base expects WxH (e.g. 8x8)\n";
-        return 2;
-      }
-    } else if (arg == "--trace") {
-      TraceSource t;
-      t.kind = TraceSource::Kind::kPath;
-      // The daemon resolves relative paths against its own working
-      // directory, so hand it an absolute one when we can.
-      std::error_code ec;
-      const auto abs = std::filesystem::absolute(need_value(), ec);
-      t.name = ec ? std::string(argv[i]) : abs.string();
-      req.traces.push_back(std::move(t));
-      have_input = true;
     } else if (arg == "--send-trace") {
-      const std::string path = need_value();
-      std::ifstream in(path, std::ios::binary);
-      if (!in) {
-        std::cerr << argv[0] << ": cannot open trace file: " << path << "\n";
-        return 1;
-      }
-      std::ostringstream data;
-      data << in.rdbuf();
+      const std::string path = need_value(argc, argv, i);
       TraceSource t;
       t.kind = TraceSource::Kind::kInline;
       t.name = std::filesystem::path(path).stem().string();
-      t.data = data.str();
+      if (!addm::tools::read_file(path, t.data)) {
+        std::cerr << argv[0] << ": cannot open trace file: " << path << "\n";
+        return 1;
+      }
       req.traces.push_back(std::move(t));
-      have_input = true;
-    } else if (const ExploreFlag* f = explore_flag_arg(arg)) {
-      req.options.emplace_back(f->name, f->metavar.empty() ? "" : need_value(true));
-    } else if (arg == "--format") {
-      req.format = need_value();
-      if (req.format != "csv" && req.format != "json") {
-        std::cerr << argv[0] << ": --format must be csv or json\n";
-        return 2;
-      }
-    } else if (arg == "--out") {
-      out_path = need_value();
-    } else if (arg == "--quiet") {
-      quiet = true;
     } else if (arg == "--max-entries") {
-      if (!parse_bytes(need_value(), max_entries) || max_entries == 0) {
-        std::cerr << argv[0] << ": --max-entries expects a positive number\n";
-        return 2;
-      }
+      if (!parse_bytes(need_value(argc, argv, i), max_entries) || max_entries == 0)
+        usage_error(argv[0], "--max-entries expects a positive number");
       have_max_entries = true;
     } else if (arg == "--max-bytes") {
-      if (!parse_bytes(need_value(), max_bytes) || max_bytes == 0) {
-        std::cerr << argv[0]
-                  << ": --max-bytes expects a positive byte size (suffix k/m/g)\n";
-        return 2;
-      }
+      if (!parse_bytes(need_value(argc, argv, i), max_bytes) || max_bytes == 0)
+        usage_error(argv[0], "--max-bytes expects a positive byte size (suffix k/m/g)");
       have_max_bytes = true;
     } else if (!arg.empty() && arg[0] == '-') {
       std::cerr << argv[0] << ": unknown option '" << arg << "'\n";
@@ -198,60 +140,46 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Validate the exploration options locally so usage errors stay exit 2
-  // and never reach the daemon.
   if (mode.empty()) {
-    if (!have_input) {
+    if (req.suite_scales == 0 && req.traces.empty()) {
       std::cerr << argv[0]
                 << ": no input traces (use --suite, --trace or --send-trace)\n";
       usage(argv[0]);
       return 2;
     }
-    addm::core::ExploreOptions scratch;
-    std::string why;
-    if (!addm::serve::build_explore_options(req, scratch, why)) {
-      std::cerr << argv[0] << ": --" << why << "\n";
-      return 2;
+    // The daemon resolves relative paths against its own working directory,
+    // so hand it absolute ones when we can.
+    for (TraceSource& t : req.traces) {
+      if (t.kind != TraceSource::Kind::kPath) continue;
+      std::error_code ec;
+      const auto abs = std::filesystem::absolute(t.name, ec);
+      if (!ec) t.name = abs.string();
     }
   }
 
   std::string admin_command;
   if (mode == "admin") {
-    if (admin_args.empty()) {
-      std::cerr << argv[0]
-                << ": admin expects a command (stats, compact, prune, flush, shutdown)\n";
-      return 2;
-    }
+    if (admin_args.empty())
+      usage_error(argv[0],
+                  "admin expects a command (stats, compact, prune, flush, shutdown)");
     const std::string& verb = admin_args[0];
-    if (admin_args.size() > 1) {
-      std::cerr << argv[0] << ": unexpected argument '" << admin_args[1] << "'\n";
-      return 2;
-    }
+    if (admin_args.size() > 1)
+      usage_error(argv[0], "unexpected argument '" + admin_args[1] + "'");
     if (verb == "prune") {
-      if (!have_max_entries && !have_max_bytes) {
-        std::cerr << argv[0]
-                  << ": prune requires --max-entries and/or --max-bytes\n";
-        return 2;
-      }
+      if (!have_max_entries && !have_max_bytes)
+        usage_error(argv[0], "prune requires --max-entries and/or --max-bytes");
       admin_command = "prune " + std::to_string(have_max_entries ? max_entries : 0) +
                       " " + std::to_string(have_max_bytes ? max_bytes : 0);
     } else if (verb == "stats" || verb == "compact" || verb == "flush" ||
                verb == "shutdown") {
       admin_command = verb;
     } else {
-      std::cerr << argv[0] << ": unknown admin command '" << verb << "'\n";
-      return 2;
+      usage_error(argv[0], "unknown admin command '" + verb + "'");
     }
-    if (have_max_entries || have_max_bytes) {
-      if (verb != "prune") {
-        std::cerr << argv[0]
-                  << ": --max-entries/--max-bytes only apply to admin prune\n";
-        return 2;
-      }
-    }
+    if ((have_max_entries || have_max_bytes) && verb != "prune")
+      usage_error(argv[0], "--max-entries/--max-bytes only apply to admin prune");
   } else if (have_max_entries || have_max_bytes) {
-    std::cerr << argv[0] << ": --max-entries/--max-bytes only apply to admin prune\n";
-    return 2;
+    usage_error(argv[0], "--max-entries/--max-bytes only apply to admin prune");
   }
 
   ServeClient client;
@@ -302,28 +230,9 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  if (out_path.empty()) {
-    std::cout << result.body;
-    std::cout.flush();
-    if (!std::cout) {
-      std::cerr << argv[0] << ": error writing report to stdout\n";
-      return 1;
-    }
-  } else {
-    std::ofstream out(out_path);
-    if (!out) {
-      std::cerr << argv[0] << ": cannot open " << out_path << " for writing\n";
-      return 1;
-    }
-    out << result.body;
-    out.flush();
-    if (!out) {
-      std::cerr << argv[0] << ": error writing report to " << out_path << "\n";
-      return 1;
-    }
-  }
+  if (!addm::tools::write_report(argv[0], args.out_path, result.body)) return 1;
 
-  if (!quiet) {
+  if (!args.quiet) {
     std::fprintf(stderr,
                  "served %llu traces (%llu evaluated, %llu memo hits, "
                  "%llu disk hits, %llu errors)\n",

@@ -20,10 +20,7 @@
 // usage errors.
 #include <cstddef>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -32,6 +29,8 @@
 
 namespace {
 
+using addm::tools::need_value;
+using addm::tools::usage_error;
 using addm::tools::read_file;
 
 void usage(const char* argv0) {
@@ -160,28 +159,17 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto need_value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << argv[0] << ": " << arg << " requires a value\n";
-        std::exit(2);
-      }
-      return argv[++i];
-    };
     if (arg == "--help" || arg == "-h") {
       usage(argv[0]);
       return 0;
     } else if (arg == "--format") {
-      format = need_value();
-      if (format != "csv" && format != "json") {
-        std::cerr << argv[0] << ": --format must be csv or json\n";
-        return 2;
-      }
+      format = addm::tools::format_value(argc, argv, i);
     } else if (arg == "--out") {
-      out_path = need_value();
+      out_path = need_value(argc, argv, i);
     } else if (arg == "--cache-into") {
-      cache_into = need_value();
+      cache_into = need_value(argc, argv, i);
     } else if (arg == "--cache") {
-      cache_srcs.push_back(need_value());
+      cache_srcs.push_back(need_value(argc, argv, i));
     } else if (arg == "--quiet") {
       quiet = true;
     } else if (!arg.empty() && arg[0] == '-') {
@@ -200,10 +188,8 @@ int main(int argc, char** argv) {
     usage(argv[0]);
     return 2;
   }
-  if (cache_into.empty() != cache_srcs.empty()) {
-    std::cerr << argv[0] << ": --cache-into and --cache must be used together\n";
-    return 2;
-  }
+  if (cache_into.empty() != cache_srcs.empty())
+    usage_error(argv[0], "--cache-into and --cache must be used together");
 
   if (!reports.empty()) {
     std::vector<std::string> texts(reports.size());
@@ -221,26 +207,7 @@ int main(int argc, char** argv) {
       std::cerr << argv[0] << ": " << error << "\n";
       return 1;
     }
-    if (out_path.empty()) {
-      std::cout << merged;
-      std::cout.flush();
-      if (!std::cout) {
-        std::cerr << argv[0] << ": error writing report to stdout\n";
-        return 1;
-      }
-    } else {
-      std::ofstream out(out_path, std::ios::binary);
-      if (!out) {
-        std::cerr << argv[0] << ": cannot open " << out_path << " for writing\n";
-        return 1;
-      }
-      out << merged;
-      out.flush();
-      if (!out) {
-        std::cerr << argv[0] << ": error writing report to " << out_path << "\n";
-        return 1;
-      }
-    }
+    if (!addm::tools::write_report(argv[0], out_path, merged)) return 1;
     if (!quiet)
       std::fprintf(stderr, "merged %zu reports\n", reports.size());
   }

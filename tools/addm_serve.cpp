@@ -37,6 +37,7 @@
 
 namespace {
 
+using addm::tools::need_value;
 using addm::tools::parse_bytes;
 using addm::tools::parse_size;
 
@@ -91,38 +92,31 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto need_value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << argv[0] << ": " << arg << " requires a value\n";
-        std::exit(2);
-      }
-      return argv[++i];
-    };
     if (arg == "--help" || arg == "-h") {
       usage(argv[0]);
       return 0;
     } else if (arg == "--socket") {
-      server_opt.unix_path = need_value();
+      server_opt.unix_path = need_value(argc, argv, i);
       have_socket = true;
     } else if (arg == "--listen") {
       std::size_t port = 0;
-      if (!parse_size(need_value(), port) || port > 65535) {
+      if (!parse_size(need_value(argc, argv, i), port) || port > 65535) {
         std::cerr << argv[0] << ": --listen expects a port number (0..65535)\n";
         return 2;
       }
       server_opt.tcp_port = static_cast<int>(port);
       have_listen = true;
     } else if (arg == "--port-file") {
-      port_file = need_value();
+      port_file = need_value(argc, argv, i);
     } else if (arg == "--threads") {
-      if (!parse_size(need_value(), service_opt.threads) ||
+      if (!parse_size(need_value(argc, argv, i), service_opt.threads) ||
           service_opt.threads > addm::tools::kMaxThreads) {
         std::cerr << argv[0] << ": --threads expects a number between 0 and "
                   << addm::tools::kMaxThreads << "\n";
         return 2;
       }
     } else if (arg == "--request-threads") {
-      if (!parse_size(need_value(), server_opt.request_threads) ||
+      if (!parse_size(need_value(argc, argv, i), server_opt.request_threads) ||
           server_opt.request_threads == 0 ||
           server_opt.request_threads > addm::tools::kMaxThreads) {
         std::cerr << argv[0] << ": --request-threads expects 1.."
@@ -130,29 +124,29 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--cache-dir") {
-      service_opt.cache_dir = need_value();
+      service_opt.cache_dir = need_value(argc, argv, i);
     } else if (arg == "--cache-budget") {
-      if (!parse_bytes(need_value(), service_opt.cache_budget_bytes) ||
+      if (!parse_bytes(need_value(argc, argv, i), service_opt.cache_budget_bytes) ||
           service_opt.cache_budget_bytes == 0) {
         std::cerr << argv[0]
                   << ": --cache-budget expects a positive byte size (suffix k/m/g)\n";
         return 2;
       }
     } else if (arg == "--flush-entries") {
-      if (!parse_size(need_value(), service_opt.flush_entries)) {
+      if (!parse_size(need_value(argc, argv, i), service_opt.flush_entries)) {
         std::cerr << argv[0] << ": --flush-entries expects a number\n";
         return 2;
       }
     } else if (arg == "--max-requests") {
       std::size_t v = 0;
-      if (!parse_size(need_value(), v) || v == 0) {
+      if (!parse_size(need_value(argc, argv, i), v) || v == 0) {
         std::cerr << argv[0] << ": --max-requests expects a positive number\n";
         return 2;
       }
       server_opt.max_requests = v;
     } else if (arg == "--idle-timeout") {
       char* end = nullptr;
-      const char* s = need_value();
+      const char* s = need_value(argc, argv, i);
       const double v = std::strtod(s, &end);
       if (end == s || *end != '\0' || !(v > 0)) {
         std::cerr << argv[0] << ": --idle-timeout expects a positive number of seconds\n";

@@ -4,9 +4,9 @@
 //   addm_trace_gen --out-dir traces --suite 12 [--base 8x8]
 //
 // produces one file per trace, named after the trace
-// (e.g. transpose_16x8.trace), in the seq/trace_io text format.
-#include <cstdlib>
-#include <cstring>
+// (e.g. transpose_16x8.trace), in the seq/trace_io text format.  A suite
+// with a geometry over seq::kMaxSuiteCells cells is refused as in
+// addm_explore, before anything is generated.
 #include <filesystem>
 #include <iostream>
 #include <string>
@@ -15,9 +15,6 @@
 #include "seq/trace_io.hpp"
 #include "seq/workloads.hpp"
 
-using addm::seq::parse_geometry;
-using addm::tools::parse_size;
-
 int main(int argc, char** argv) {
   std::string out_dir;
   std::size_t scales = 1;
@@ -25,38 +22,22 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto need_value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << argv[0] << ": " << arg << " requires a value\n";
-        std::exit(2);
-      }
-      return argv[++i];
-    };
     if (arg == "--help" || arg == "-h") {
       std::cerr << "usage: " << argv[0]
                 << " --out-dir DIR [--suite N] [--base WxH]\n";
       return 0;
     } else if (arg == "--out-dir") {
-      out_dir = need_value();
+      out_dir = addm::tools::need_value(argc, argv, i);
     } else if (arg == "--suite") {
-      if (!parse_size(need_value(), scales) || scales == 0) {
-        std::cerr << argv[0] << ": --suite expects a positive count\n";
-        return 2;
-      }
+      scales = addm::tools::suite_value(argc, argv, i);
     } else if (arg == "--base") {
-      if (!parse_geometry(need_value(), base)) {
-        std::cerr << argv[0] << ": --base expects WxH (e.g. 8x8)\n";
-        return 2;
-      }
+      base = addm::tools::base_value(argc, argv, i);
     } else {
-      std::cerr << argv[0] << ": unknown option '" << arg << "'\n";
-      return 2;
+      addm::tools::usage_error(argv[0], "unknown option '" + arg + "'");
     }
   }
-  if (out_dir.empty()) {
-    std::cerr << argv[0] << ": --out-dir is required\n";
-    return 2;
-  }
+  if (out_dir.empty()) addm::tools::usage_error(argv[0], "--out-dir is required");
+  addm::tools::require_suite_fits(argv[0], base, scales);
 
   try {
     std::filesystem::create_directories(out_dir);

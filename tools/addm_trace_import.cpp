@@ -24,6 +24,7 @@
 namespace {
 
 using addm::seq::parse_geometry;
+using addm::tools::need_value;
 using addm::tools::parse_size;
 
 void usage(const char* argv0) {
@@ -74,28 +75,21 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto need_value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << argv[0] << ": " << arg << " requires a value\n";
-        std::exit(2);
-      }
-      return argv[++i];
-    };
     if (arg == "--help" || arg == "-h") {
       usage(argv[0]);
       return 0;
     } else if (arg == "--geometry") {
-      if (!parse_geometry(need_value(), opt.geometry)) {
+      if (!parse_geometry(need_value(argc, argv, i), opt.geometry)) {
         std::cerr << argv[0] << ": --geometry expects WxH (e.g. 64x64)\n";
         return 2;
       }
       have_geometry = true;
     } else if (arg == "--in") {
-      in_path = need_value();
+      in_path = need_value(argc, argv, i);
     } else if (arg == "--out") {
-      out_path = need_value();
+      out_path = need_value(argc, argv, i);
     } else if (arg == "--kinds") {
-      opt.kinds = need_value();
+      opt.kinds = need_value(argc, argv, i);
       if (opt.kinds.empty() ||
           opt.kinds.find_first_not_of("ILSM") != std::string::npos) {
         std::cerr << argv[0] << ": --kinds expects a non-empty subset of ILSM\n";
@@ -103,13 +97,13 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--word") {
       std::size_t v = 0;
-      if (!parse_size(need_value(), v) || v == 0 || v > (1u << 20)) {
+      if (!parse_size(need_value(argc, argv, i), v) || v == 0 || v > (1u << 20)) {
         std::cerr << argv[0] << ": --word expects a positive byte count\n";
         return 2;
       }
       opt.word_bytes = static_cast<std::uint32_t>(v);
     } else if (arg == "--base") {
-      const std::string value = need_value();
+      const std::string value = need_value(argc, argv, i);
       if (value == "auto") {
         opt.auto_base = true;
       } else if (parse_base(value.c_str(), opt.base)) {
@@ -119,7 +113,7 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--name") {
-      opt.name = need_value();
+      opt.name = need_value(argc, argv, i);
     } else if (arg == "--quiet") {
       quiet = true;
     } else {
